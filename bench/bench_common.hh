@@ -29,7 +29,6 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
-#include "mem/shard_mode.hh"
 #include "obs/obs_mode.hh"
 #include "obs/telemetry.hh"
 #include "obs/tracer.hh"
@@ -108,19 +107,6 @@ parseOptions(const CliArgs &args, std::uint64_t dflt_records)
     opt.traceOut = args.get("trace-out", "");
     if (!opt.traceOut.empty())
         obs::Tracer::instance().start(opt.traceOut);
-    // Sliced-LLC knobs raise the process-wide defaults every cache /
-    // hierarchy this bench builds resolves against.  The setters
-    // reject zero and unknown hash names with a clear fatal().
-    if (args.has("slices")) {
-        shard::setDefaultSliceCount(
-            static_cast<std::uint32_t>(args.getInt("slices", 1)));
-    }
-    if (args.has("slice-hash"))
-        shard::setDefaultSliceHash(args.get("slice-hash", "mod"));
-    if (args.has("shard-jobs")) {
-        shard::setDefaultShardJobs(
-            static_cast<unsigned>(args.getInt("shard-jobs", 1)));
-    }
     return opt;
 }
 
@@ -224,15 +210,6 @@ jsonHierarchy(const HierarchyConfig &hier)
     h["l2_enabled"] = hier.enableL2;
     h["inclusive"] = hier.inclusive;
     h["prefetch"] = hier.prefetch.enabled;
-    // Emitted only when sliced so default-mode documents stay
-    // byte-identical with pre-slicing ones (slicing never changes
-    // results, only the tag store's layout).
-    if (const std::uint32_t slices =
-            hier.llc.slices != 0 ? hier.llc.slices
-                                 : shard::defaultSliceCount();
-        slices != 1) {
-        h["slices"] = slices;
-    }
     return h;
 }
 

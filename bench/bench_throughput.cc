@@ -23,7 +23,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -34,8 +33,6 @@
 #include "mem/cache.hh"
 #include "obs/metrics.hh"
 #include "serve/server.hh"
-#include "sim/system.hh"
-#include "trace/workloads.hh"
 
 namespace
 {
@@ -215,48 +212,6 @@ selectionOpsPerSec(int n, std::uint64_t iterations)
     return secs > 0.0 ? static_cast<double>(iterations) / secs : 0.0;
 }
 
-/** Wall-clock + stats digest of one full-system 8-core mix run. */
-struct ScalingResult
-{
-    double seconds = 0.0;
-    std::string digest;
-};
-
-/**
- * Run the sliced-scaling probe mix: eight cores over the canonical
- * hierarchy with the given slice count and worker width.  The stats
- * digest must be byte-identical at every configuration — the probe
- * measures wall-clock only.
- */
-ScalingResult
-runScalingCell(std::uint64_t records, std::uint32_t slices,
-               unsigned shard_jobs)
-{
-    static const char *kMix[] = {
-        "small_ws", "stream_pure", "zipf_hot",  "echo_near",
-        "chase_small", "loop_medium", "scan_loop", "mix_rw",
-    };
-    HierarchyConfig hier = defaultHierarchy(8);
-    hier.llc.slices = slices;
-    hier.shardJobs = shard_jobs;
-    std::vector<TraceSourcePtr> traces;
-    for (const char *w : kMix)
-        traces.push_back(makeWorkload(w, records));
-    System sys(hier, makePolicy("nucache"), std::move(traces),
-               records);
-
-    const auto start = std::chrono::steady_clock::now();
-    sys.run();
-    const auto stop = std::chrono::steady_clock::now();
-
-    ScalingResult res;
-    res.seconds = std::chrono::duration<double>(stop - start).count();
-    std::ostringstream os;
-    sys.statsJson().dump(os);
-    res.digest = os.str();
-    return res;
-}
-
 /**
  * One closed-loop pipelined loopback trial against an in-process
  * nucached: @p conns connections blast @p per_conn copies of @p line
@@ -336,7 +291,10 @@ main(int argc, char **argv)
            "simulator accesses/second by policy and LLC geometry",
            opt.records);
 
+    // Recorded so numbers taken on different hosts can be compared.
+    const unsigned hw_threads = std::thread::hardware_concurrency();
     Json &section = report.section("throughput", "throughput");
+    section["hardware_threads"] = hw_threads;
     Json cells = Json::array();
 
     TextTable table;
@@ -381,6 +339,7 @@ main(int argc, char **argv)
     look["hit_fraction"] = 0.5;
     look["lookups"] = lookups;
     look["lookups_per_sec"] = lps;
+    look["hardware_threads"] = hw_threads;
     std::cout << "\n# LRU lookup (probe) throughput, 1MiB-16w\n"
               << "lookups/sec  " << static_cast<std::uint64_t>(lps)
               << "  (" << lps / 1e6 << " M/s)\n";
@@ -403,37 +362,6 @@ main(int argc, char **argv)
     }
     sel["cells"] = std::move(sel_cells);
     sel_table.print(std::cout);
-
-    // Sliced-scaling probe: the same 8-core nucache mix run serially
-    // and through the sliced engine.  Stats must match byte-for-byte
-    // (the engine's exactness contract); the probe records the
-    // wall-clock ratio and the hardware thread count so speedups are
-    // interpretable on any runner.
-    Json &sliced = report.section("sliced_scaling", "speedup");
-    const std::uint64_t scaling_records =
-        std::max<std::uint64_t>(opt.records / 16, 20'000);
-    std::cout << "\n# sliced-scaling probe, 8-core nucache mix, "
-              << scaling_records << " records/core\n";
-    const ScalingResult serial = runScalingCell(scaling_records, 1, 1);
-    const ScalingResult shard = runScalingCell(scaling_records, 4, 4);
-    if (shard.digest != serial.digest)
-        fatal("sliced_scaling: stats diverged from the serial run");
-    const double speedup =
-        shard.seconds > 0.0 ? serial.seconds / shard.seconds : 0.0;
-    const unsigned hw_threads = std::thread::hardware_concurrency();
-    sliced["records_per_core"] = scaling_records;
-    sliced["cores"] = 8;
-    sliced["slices"] = 4;
-    sliced["shard_jobs"] = 4;
-    sliced["serial_seconds"] = serial.seconds;
-    sliced["sliced_seconds"] = shard.seconds;
-    sliced["speedup"] = speedup;
-    sliced["hardware_threads"] = hw_threads;
-    sliced["stats_identical"] = true;
-    std::cout << "serial " << serial.seconds << " s, sliced (4 slices, "
-              << "4 workers) " << shard.seconds << " s: " << speedup
-              << "x on " << hw_threads
-              << " hardware threads (stats identical)\n";
 
     // Serve-loopback A/B: prove the always-on server observability
     // plane (per-request tracing + histograms) costs nothing beyond

@@ -8,7 +8,6 @@
 #include "common/logging.hh"
 #include "common/simd.hh"
 #include "mem/lru.hh"
-#include "mem/shard_mode.hh"
 
 namespace nucache
 {
@@ -47,34 +46,15 @@ Cache::Cache(const CacheConfig &config,
     blockBits = floorLog2(cfg.blockSize);
     fullWayMask = mask(cfg.ways);
 
-    // Resolve the slicing: an explicit config wins, otherwise the
-    // process-wide default (1 unless --slices raised it).  The
-    // resolved values are written back so config() reports them.
-    if (cfg.slices == 0)
-        cfg.slices = shard::defaultSliceCount();
-    if (cfg.sliceHash.empty())
-        cfg.sliceHash = shard::defaultSliceHash();
-    if (cfg.slices > sets)
-        fatal("cache '", cfg.name, "': ", cfg.slices,
-              " slices exceed its ", sets, " sets");
-    sliceMap = SliceMap(sets, cfg.slices, parseSliceHash(cfg.sliceHash));
-
-    // The randomized-index defense scrambles the *global* set index,
-    // upstream of the SliceMap decomposition — slicing stays a pure
-    // layout transform underneath it.
     defenseCfg = parseIndexDefense(cfg.defense);
     defenseOn = defenseCfg.enabled();
     defenseEpochKey = epochKeyOf(defenseCfg.key, 0);
 
-    const std::size_t rows = sliceMap.rowsPerSlice();
-    const std::size_t entries = rows * cfg.ways;
-    slicesStore.resize(cfg.slices);
-    for (TagSlice &sl : slicesStore) {
-        sl.tags.assign(entries, 0);
-        sl.origins.assign(entries, LineOrigin{});
-        sl.validBits.assign(rows, 0);
-        sl.dirtyBits.assign(rows, 0);
-    }
+    const std::size_t entries = static_cast<std::size_t>(sets) * cfg.ways;
+    tags.assign(entries, 0);
+    origins.assign(entries, LineOrigin{});
+    validBits.assign(sets, 0);
+    dirtyBits.assign(sets, 0);
     stats.assign(num_cores, CacheCoreStats{});
 
     PolicyContext ctx;
@@ -108,25 +88,21 @@ Cache::tagOf(Addr addr) const
 SetView
 Cache::viewSet(std::uint32_t set) const
 {
-    const TagSlice &sl = sliceFor(set);
-    const std::uint32_t row = sliceMap.rowOf(set);
-    const std::size_t base = static_cast<std::size_t>(row) * cfg.ways;
-    return SetView(&sl.tags[base], &sl.origins[base], &sl.validBits[row],
-                   &sl.dirtyBits[row], cfg.ways, set);
+    const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
+    return SetView(&tags[base], &origins[base], &validBits[set],
+                   &dirtyBits[set], cfg.ways, set);
 }
 
 std::uint32_t
 Cache::findWay(std::uint32_t set, Addr tag) const
 {
-    // Packed-compare the contiguous per-row tag span into an equality
+    // Packed-compare the contiguous per-set tag span into an equality
     // bitmask, mask with the valid word, and count trailing zeros.
     // Lowest matching way wins, matching the old first-match scan
     // (duplicates are excluded by the checker's structural invariant).
-    const TagSlice &sl = sliceFor(set);
-    const std::uint32_t row = sliceMap.rowOf(set);
-    const Addr *span = &sl.tags[static_cast<std::size_t>(row) * cfg.ways];
+    const Addr *span = &tags[static_cast<std::size_t>(set) * cfg.ways];
     const std::uint64_t eq =
-        simd::eqMask64(span, cfg.ways, tag) & sl.validBits[row];
+        simd::eqMask64(span, cfg.ways, tag) & validBits[set];
     return eq != 0 ? static_cast<std::uint32_t>(std::countr_zero(eq))
                    : cfg.ways;
 }
@@ -139,24 +115,20 @@ Cache::access(AccessInfo info)
               " but only ", stats.size(), " cores registered");
 
     info.tick = ++tickCounter;
-    // Dynamic remap: the epoch clock is this cache's own access tick,
-    // which the sharded engine drives serially in the exact serial
-    // interleave — so re-key points are identical at every --slices /
-    // --shard-jobs width.
+    // Dynamic remap: the epoch clock is this cache's own access tick.
     if (defenseCfg.kind == IndexDefenseKind::RandDynamic) {
         const std::uint64_t epoch = (tickCounter - 1) / defenseCfg.period;
         if (epoch != defenseEpoch)
             remapFlush(epoch);
     }
     const std::uint32_t set = setIndexOf(info.addr);
-    TagSlice &sl = sliceFor(set);
-    const std::uint32_t row = sliceMap.rowOf(set);
     if (heatOn)
-        ++sl.heat[row];
+        ++heat[set];
     const Addr tag = tagOf(info.addr);
-    const std::size_t base = static_cast<std::size_t>(row) * cfg.ways;
-    const SetView view(&sl.tags[base], &sl.origins[base],
-                       &sl.validBits[row], &sl.dirtyBits[row], cfg.ways,
+    const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
+    std::uint64_t &valid = validBits[set];
+    std::uint64_t &dirty = dirtyBits[set];
+    const SetView view(&tags[base], &origins[base], &valid, &dirty, cfg.ways,
                        set);
 
     auto &cs = stats[info.coreId];
@@ -167,7 +139,7 @@ Cache::access(AccessInfo info)
 
     Result res;
     const std::uint64_t eq =
-        simd::eqMask64(&sl.tags[base], cfg.ways, tag) & sl.validBits[row];
+        simd::eqMask64(&tags[base], cfg.ways, tag) & valid;
     const std::uint32_t hit_way =
         eq != 0 ? static_cast<std::uint32_t>(std::countr_zero(eq))
                 : cfg.ways;
@@ -184,7 +156,7 @@ Cache::access(AccessInfo info)
         }
         res.hit = true;
         if (info.isWrite)
-            sl.dirtyBits[row] |= std::uint64_t{1} << hit_way;
+            dirty |= std::uint64_t{1} << hit_way;
     } else {
         if (info.isPrefetch)
             ++cs.prefetchFills;
@@ -199,7 +171,7 @@ Cache::access(AccessInfo info)
         // Prefer the lowest invalid way; consult the policy only when
         // the set is full.
         std::uint32_t victim;
-        const std::uint64_t invalid = ~sl.validBits[row] & fullWayMask;
+        const std::uint64_t invalid = ~valid & fullWayMask;
         if (invalid != 0) {
             victim = static_cast<std::uint32_t>(std::countr_zero(invalid));
         } else if (lruFast) {
@@ -212,14 +184,14 @@ Cache::access(AccessInfo info)
         }
 
         const std::uint64_t vbit = std::uint64_t{1} << victim;
-        if ((sl.validBits[row] & vbit) != 0) {
+        if ((valid & vbit) != 0) {
             res.evicted = true;
             ++cs.evictions;
-            res.evictedAddr = sl.tags[base + victim] << blockBits;
-            if ((sl.dirtyBits[row] & vbit) != 0) {
+            res.evictedAddr = tags[base + victim] << blockBits;
+            if ((dirty & vbit) != 0) {
                 res.writeback = true;
                 res.writebackAddr = res.evictedAddr;
-                ++sl.writebacks;
+                ++writebackCount;
             }
             if (!lruFast) {
                 const CacheLine victim_line = view.line(victim);
@@ -227,13 +199,13 @@ Cache::access(AccessInfo info)
             }
         }
 
-        sl.tags[base + victim] = tag;
-        sl.origins[base + victim] = LineOrigin{info.pc, info.coreId};
-        sl.validBits[row] |= vbit;
+        tags[base + victim] = tag;
+        origins[base + victim] = LineOrigin{info.pc, info.coreId};
+        valid |= vbit;
         if (info.isWrite)
-            sl.dirtyBits[row] |= vbit;
+            dirty |= vbit;
         else
-            sl.dirtyBits[row] &= ~vbit;
+            dirty &= ~vbit;
         if (lruFast)
             lruFast->touch(set, victim, info.tick);
         else
@@ -251,19 +223,14 @@ Cache::remapFlush(std::uint64_t epoch)
     defenseEpoch = epoch;
     defenseEpochKey = epochKeyOf(defenseCfg.key, epoch);
     ++defenseRemapCount;
-    for (TagSlice &sl : slicesStore) {
-        // Dirty lines leave as write-backs; everything else is simply
-        // dropped.  popcount per row keeps this O(rows), not O(ways).
-        for (const std::uint64_t dirty : sl.dirtyBits)
-            sl.writebacks +=
-                static_cast<std::uint64_t>(std::popcount(dirty));
-        std::fill(sl.tags.begin(), sl.tags.end(), Addr{0});
-        std::fill(sl.origins.begin(), sl.origins.end(), LineOrigin{});
-        std::fill(sl.validBits.begin(), sl.validBits.end(),
-                  std::uint64_t{0});
-        std::fill(sl.dirtyBits.begin(), sl.dirtyBits.end(),
-                  std::uint64_t{0});
-    }
+    // Dirty lines leave as write-backs; everything else is simply
+    // dropped.  popcount per set keeps this O(sets), not O(ways).
+    for (const std::uint64_t dirty : dirtyBits)
+        writebackCount += static_cast<std::uint64_t>(std::popcount(dirty));
+    std::fill(tags.begin(), tags.end(), Addr{0});
+    std::fill(origins.begin(), origins.end(), LineOrigin{});
+    std::fill(validBits.begin(), validBits.end(), std::uint64_t{0});
+    std::fill(dirtyBits.begin(), dirtyBits.end(), std::uint64_t{0});
     repl->onFlushAll();
 }
 
@@ -280,14 +247,12 @@ Cache::invalidate(Addr addr)
     const std::uint32_t way = findWay(set, tagOf(addr));
     if (way == cfg.ways)
         return false;
-    TagSlice &sl = sliceFor(set);
-    const std::uint32_t row = sliceMap.rowOf(set);
-    const std::size_t slot = static_cast<std::size_t>(row) * cfg.ways + way;
-    sl.tags[slot] = 0;
-    sl.origins[slot] = LineOrigin{};
+    const std::size_t slot = static_cast<std::size_t>(set) * cfg.ways + way;
+    tags[slot] = 0;
+    origins[slot] = LineOrigin{};
     const std::uint64_t wbit = std::uint64_t{1} << way;
-    sl.validBits[row] &= ~wbit;
-    sl.dirtyBits[row] &= ~wbit;
+    validBits[set] &= ~wbit;
+    dirtyBits[set] &= ~wbit;
     return true;
 }
 
@@ -298,8 +263,7 @@ Cache::writebackUpdate(Addr addr)
     const std::uint32_t way = findWay(set, tagOf(addr));
     if (way == cfg.ways)
         return false;
-    sliceFor(set).dirtyBits[sliceMap.rowOf(set)] |= std::uint64_t{1}
-                                                    << way;
+    dirtyBits[set] |= std::uint64_t{1} << way;
     return true;
 }
 
@@ -309,15 +273,6 @@ Cache::coreStats(CoreId core) const
     if (core >= stats.size())
         panic("cache '", cfg.name, "': coreStats(", core, ") out of range");
     return stats[core];
-}
-
-void
-Cache::overrideCoreStats(CoreId core, const CacheCoreStats &s)
-{
-    if (core >= stats.size())
-        panic("cache '", cfg.name, "': overrideCoreStats(", core,
-              ") out of range");
-    stats[core] = s;
 }
 
 CacheCoreStats
@@ -335,37 +290,11 @@ Cache::totalStats() const
     return total;
 }
 
-std::uint64_t
-Cache::writebacks() const
-{
-    std::uint64_t total = 0;
-    for (const TagSlice &sl : slicesStore)
-        total += sl.writebacks;
-    return total;
-}
-
 void
 Cache::enableSetHeat()
 {
-    for (TagSlice &sl : slicesStore)
-        sl.heat.assign(sliceMap.rowsPerSlice(), 0);
+    heat.assign(sets, 0);
     heatOn = true;
-}
-
-const std::vector<std::uint64_t> &
-Cache::setHeat() const
-{
-    if (!heatOn) {
-        heatView.clear();
-        return heatView;
-    }
-    // Deterministic merge of the per-slice shards into the global
-    // set-indexed view the telemetry probes expect.
-    heatView.resize(sets);
-    for (std::uint32_t s = 0; s < sets; ++s)
-        heatView[s] = slicesStore[sliceMap.sliceOf(s)]
-                          .heat[sliceMap.rowOf(s)];
-    return heatView;
 }
 
 void
@@ -373,11 +302,9 @@ Cache::resetStats()
 {
     for (auto &s : stats)
         s = CacheCoreStats{};
-    for (TagSlice &sl : slicesStore) {
-        if (heatOn)
-            sl.heat.assign(sliceMap.rowsPerSlice(), 0);
-        sl.writebacks = 0;
-    }
+    if (heatOn)
+        heat.assign(sets, 0);
+    writebackCount = 0;
 }
 
 } // namespace nucache

@@ -13,12 +13,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/cache_line.hh"
 #include "mem/rand_index.hh"
 #include "mem/replacement.hh"
-#include "mem/slice.hh"
 
 namespace nucache
 {
@@ -28,6 +28,16 @@ class LruPolicy;
 /** Static description of one cache level. */
 struct CacheConfig
 {
+    CacheConfig() = default;
+
+    /** The geometry alone; every other field keeps its default. */
+    CacheConfig(std::string cache_name, std::uint64_t size_bytes,
+                std::uint32_t num_ways, std::uint32_t block_size)
+        : name(std::move(cache_name)), sizeBytes(size_bytes),
+          ways(num_ways), blockSize(block_size)
+    {
+    }
+
     std::string name = "cache";
     /** Total capacity in bytes; must be sets*ways*blockSize. */
     std::uint64_t sizeBytes = 1 << 20;
@@ -35,14 +45,6 @@ struct CacheConfig
     std::uint32_t ways = 16;
     /** Line size in bytes (power of two). */
     std::uint32_t blockSize = 64;
-    /**
-     * Slice count of the tag store (power of two).  0 resolves to the
-     * process-wide default (shard::defaultSliceCount(), normally 1).
-     * Slicing is layout-only: results are identical at every count.
-     */
-    std::uint32_t slices = 0;
-    /** Slice hash ("mod"/"xor"); empty resolves to the process default. */
-    std::string sliceHash;
     /**
      * Randomized-index defense spec ("none", "rand[:key=N]",
      * "rand-dynamic[:key=N][,period=N]"; see mem/rand_index.hh).
@@ -157,19 +159,11 @@ class Cache
     /** @return per-core statistics. */
     const CacheCoreStats &coreStats(CoreId core) const;
 
-    /**
-     * Replace core @p core's statistics wholesale.  Used by the
-     * sharded run engine, whose generators run the private levels past
-     * the measurement cutoff and then install the exact cutoff values
-     * reconstructed from the replay journals.
-     */
-    void overrideCoreStats(CoreId core, const CacheCoreStats &s);
-
     /** @return statistics summed over all cores. */
     CacheCoreStats totalStats() const;
 
-    /** @return write-backs issued (merged across slice shards). */
-    std::uint64_t writebacks() const;
+    /** @return write-backs issued. */
+    std::uint64_t writebacks() const { return writebackCount; }
 
     /** @return accesses performed so far (the internal tick clock). */
     std::uint64_t accessCount() const { return tickCounter; }
@@ -181,14 +175,8 @@ class Cache
      */
     void enableSetHeat();
 
-    /**
-     * @return per-set access counts indexed by global set; empty
-     * unless enableSetHeat().  The counters are sharded per slice and
-     * merged into a cached global view on each call — a deterministic
-     * merge point, since each set's counter lives in exactly one
-     * slice.
-     */
-    const std::vector<std::uint64_t> &setHeat() const;
+    /** @return per-set access counts; empty unless enableSetHeat(). */
+    const std::vector<std::uint64_t> &setHeat() const { return heat; }
 
     /** @return the configured geometry. */
     const CacheConfig &config() const { return cfg; }
@@ -198,12 +186,6 @@ class Cache
 
     /** @return associativity. */
     std::uint32_t numWays() const { return cfg.ways; }
-
-    /** @return number of tag-store slices (>= 1). */
-    std::uint32_t numSlices() const { return sliceMap.slices(); }
-
-    /** @return the set <-> (slice, row) bijection in use. */
-    const SliceMap &slicing() const { return sliceMap; }
 
     /** @return the parsed randomized-index defense configuration. */
     const IndexDefenseConfig &defense() const { return defenseCfg; }
@@ -254,47 +236,24 @@ class Cache
     LruPolicy *lruFast = nullptr;
 
     /**
-     * One independently-owned slice of the packed structure-of-arrays
-     * tag store.  Each slice's arrays are separate heap allocations
-     * and the struct itself is cache-line aligned, so two slices never
-     * share a cache line of metadata (the ownership model the sharded
-     * engine's per-slice telemetry shards rely on).  The lookup scans
-     * only `tags` (contiguous per row) plus one `valid` word;
-     * `origins` (allocating PC/core) is cold — written on fill and
-     * invalidate, read only by policy hooks through SetView.
+     * The packed structure-of-arrays tag store, indexed by set.  The
+     * lookup scans only `tags` (contiguous per set) plus one `valid`
+     * word; `origins` (allocating PC/core) is cold — written on fill
+     * and invalidate, read only by policy hooks through SetView.
      */
-    struct alignas(64) TagSlice
-    {
-        std::vector<Addr> tags;               ///< rows * ways
-        std::vector<LineOrigin> origins;      ///< rows * ways, cold
-        std::vector<std::uint64_t> validBits; ///< one word per row
-        std::vector<std::uint64_t> dirtyBits; ///< one word per row
-        /** Per-row access counters; allocated by enableSetHeat(). */
-        std::vector<std::uint64_t> heat;
-        /** Per-slice shard of the write-back counter. */
-        std::uint64_t writebacks = 0;
-    };
-
-    /** @return the slice owning global set @p set. */
-    TagSlice &sliceFor(std::uint32_t set)
-    {
-        return slicesStore[sliceMap.sliceOf(set)];
-    }
-    const TagSlice &sliceFor(std::uint32_t set) const
-    {
-        return slicesStore[sliceMap.sliceOf(set)];
-    }
-
-    SliceMap sliceMap;
-    std::vector<TagSlice> slicesStore;
+    std::vector<Addr> tags;               ///< sets * ways
+    std::vector<LineOrigin> origins;      ///< sets * ways, cold
+    std::vector<std::uint64_t> validBits; ///< one word per set
+    std::vector<std::uint64_t> dirtyBits; ///< one word per set
 
     std::vector<CacheCoreStats> stats;
-    /** Cached global view materialized from the per-slice heat shards. */
-    mutable std::vector<std::uint64_t> heatView;
+    std::uint64_t writebackCount = 0;
+    /** Per-set access counters; allocated by enableSetHeat(). */
+    std::vector<std::uint64_t> heat;
     AccessObserver observer;
     /** Mirrors observer's non-emptiness (hot-path test). */
     bool hasObserver = false;
-    /** Mirrors the heat shards' presence (hot-path test). */
+    /** Mirrors the heat counters' presence (hot-path test). */
     bool heatOn = false;
     Tick tickCounter = 0;
 

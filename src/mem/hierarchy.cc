@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "mem/lru.hh"
-#include "mem/shard_mode.hh"
 
 namespace nucache
 {
@@ -14,11 +13,6 @@ MemoryHierarchy::MemoryHierarchy(
 {
     if (cfg.numCores == 0)
         fatal("hierarchy needs at least one core");
-    // Resolve the worker width like the caches resolve their slice
-    // count: an explicit config wins, else the process-wide default.
-    if (cfg.shardJobs == 0)
-        cfg.shardJobs = shard::defaultShardJobs();
-
     for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
         CacheConfig l1cfg = cfg.l1;
         l1cfg.name = "l1." + std::to_string(c);
@@ -55,100 +49,43 @@ MemoryHierarchy::access(CoreId core, Addr addr, PC pc, bool is_write,
     info.coreId = core;
     info.isWrite = is_write;
 
-    // The serial path composes the two halves back to back.  The only
-    // reorder versus the historic single-function body is that an L1
-    // spill now reaches the LLC/DRAM after the private L2 lookup
-    // instead of before it; the two touch disjoint state (shared LLC
-    // and DRAM vs the core's own L2), and the relative order of the
-    // shared-state operations themselves is preserved, so the
-    // composition is byte-identical (tests/test_sliced.cc pins this).
-    AccessOps ops;
-    const Cycles base = privateAccess(core, info, ops);
-    return base + sharedAccess(info, ops, now);
-}
-
-Cycles
-MemoryHierarchy::privateAccess(CoreId core, const AccessInfo &info,
-                               AccessOps &ops)
-{
     Cycles latency = cfg.l1Latency;
     const Cache::Result l1res = l1Caches[core]->access(info);
     Cache *l2 = l2Caches.empty() ? nullptr : l2Caches[core].get();
-    ops.l1Hit = l1res.hit;
-    ops.l1Evicted = l1res.evicted;
-    if (l1res.writeback) {
-        // Dirty L1 victim drains to the next level down; absorption by
-        // the private L2 is decided here, spills are deferred to the
-        // shared half.
-        if (l2 != nullptr && l2->writebackUpdate(l1res.writebackAddr)) {
-            // absorbed by the private L2
-        } else {
-            ops.l1Spill = true;
-            ops.l1SpillAddr = l1res.writebackAddr;
-        }
+    // A dirty L1 victim drains to the next level down: the private L2
+    // absorbs it if it holds the block, else it spills to the LLC.
+    bool l1_spill = l1res.writeback;
+    if (l1_spill && l2 != nullptr)
+        l1_spill = !l2->writebackUpdate(l1res.writebackAddr);
+
+    Cache::Result l2res;
+    if (!l1res.hit && l2 != nullptr) {
+        latency += cfg.l2Latency;
+        l2res = l2->access(info);
     }
-    if (l1res.hit)
+
+    // Spills in level order: L1 spills carry the L1 hit latency, L2
+    // spills the L1+L2 depth.
+    if (l1_spill && !llcCache->writebackUpdate(l1res.writebackAddr))
+        dramModel.write(now + cfg.l1Latency);
+    if (l2res.writeback && !llcCache->writebackUpdate(l2res.writebackAddr))
+        dramModel.write(now + cfg.l1Latency + cfg.l2Latency);
+    if (l1res.hit || l2res.hit)
         return latency;
 
-    if (l2 != nullptr) {
-        latency += cfg.l2Latency;
-        const Cache::Result l2res = l2->access(info);
-        ops.l2Accessed = true;
-        ops.l2Hit = l2res.hit;
-        ops.l2Evicted = l2res.evicted;
-        if (l2res.writeback) {
-            ops.l2Spill = true;
-            ops.l2SpillAddr = l2res.writebackAddr;
-        }
-        if (l2res.hit)
-            return latency;
-    }
-
-    ops.llcDemand = true;
-    return latency + cfg.llcLatency;
-}
-
-Cycles
-MemoryHierarchy::sharedAccess(const AccessInfo &info,
-                              const AccessOps &ops, Cycles now)
-{
-    // Spills first, in level order, at the same absolute DRAM times
-    // the fused path used (L1 spills carry the L1 hit latency, L2
-    // spills the L1+L2 depth).
-    if (ops.l1Spill && !llcCache->writebackUpdate(ops.l1SpillAddr))
-        dramModel.write(now + cfg.l1Latency);
-    if (ops.l2Spill && !llcCache->writebackUpdate(ops.l2SpillAddr))
-        dramModel.write(now + cfg.l1Latency + cfg.l2Latency);
-    if (!ops.llcDemand)
-        return 0;
-
-    const Cycles depth = cfg.l1Latency +
-                         (ops.l2Accessed ? cfg.l2Latency : Cycles{0}) +
-                         cfg.llcLatency;
+    latency += cfg.llcLatency;
     const Cache::Result llcres = llcCache->access(info);
     if (llcres.writeback)
-        dramModel.write(now + depth);
-    if (cfg.inclusive && llcres.evicted) {
-        // Inclusion enforcement: purge the evicted block from every
-        // private level (any dirty private copy is conservatively
-        // treated as written back by the LLC's own writeback).
-        for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-            if (l1Caches[c]->invalidate(llcres.evictedAddr))
-                ++backInvalidated;
-            if (!l2Caches.empty() &&
-                l2Caches[c]->invalidate(llcres.evictedAddr)) {
-                ++backInvalidated;
-            }
-        }
-    }
+        dramModel.write(now + latency);
+    if (cfg.inclusive && llcres.evicted)
+        backInvalidate(llcres.evictedAddr);
 
     // Train the stride prefetcher on demand L1 misses and install its
     // candidates into the LLC (latency-free: modeled as fully
     // overlapped, the standard trace-simulator simplification).
     if (!prefetchers.empty()) {
         prefetchQueue.clear();
-        prefetchers[info.coreId]->train(info.pc, info.addr,
-                                        prefetchQueue);
+        prefetchers[core]->train(info.pc, info.addr, prefetchQueue);
         for (const Addr pf_addr : prefetchQueue) {
             AccessInfo pf = info;
             pf.addr = pf_addr;
@@ -156,25 +93,31 @@ MemoryHierarchy::sharedAccess(const AccessInfo &info,
             pf.isPrefetch = true;
             const Cache::Result pf_res = llcCache->access(pf);
             if (pf_res.writeback)
-                dramModel.write(now + depth);
-            if (cfg.inclusive && pf_res.evicted) {
-                for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-                    if (l1Caches[c]->invalidate(pf_res.evictedAddr))
-                        ++backInvalidated;
-                    if (!l2Caches.empty() &&
-                        l2Caches[c]->invalidate(pf_res.evictedAddr)) {
-                        ++backInvalidated;
-                    }
-                }
-            }
+                dramModel.write(now + latency);
+            if (cfg.inclusive && pf_res.evicted)
+                backInvalidate(pf_res.evictedAddr);
             if (!pf_res.hit)
-                dramModel.read(now + depth);  // consumes bandwidth
+                dramModel.read(now + latency);  // consumes bandwidth
         }
     }
 
     if (llcres.hit)
-        return 0;
-    return dramModel.read(now + depth);
+        return latency;
+    return latency + dramModel.read(now + latency);
+}
+
+void
+MemoryHierarchy::backInvalidate(Addr addr)
+{
+    // Inclusion enforcement: purge the evicted block from every
+    // private level (any dirty private copy is conservatively treated
+    // as written back by the LLC's own writeback).
+    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
+        if (l1Caches[c]->invalidate(addr))
+            ++backInvalidated;
+        if (!l2Caches.empty() && l2Caches[c]->invalidate(addr))
+            ++backInvalidated;
+    }
 }
 
 } // namespace nucache

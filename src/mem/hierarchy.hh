@@ -49,49 +49,6 @@ struct HierarchyConfig
      * default non-inclusive model skips it).
      */
     bool inclusive = false;
-    /**
-     * Worker threads for the sharded run engine (sim/sliced_run.cc):
-     * >1 replays the cores' private levels on worker threads and
-     * reassembles the shared-LLC interleave deterministically, with
-     * bit-identical statistics at every width.  0 resolves to the
-     * process-wide default (shard::defaultShardJobs(), normally 1 =
-     * the classic serial engine).
-     */
-    unsigned shardJobs = 0;
-};
-
-/**
- * Per-record outcome of the private levels, produced by
- * privateAccess() and consumed by sharedAccess().  The split is the
- * foundation of the sharded run engine: everything in the private
- * half depends only on the issuing core's own stream, so it can run
- * on a per-core worker thread; everything the shared half touches
- * (LLC, DRAM, prefetchers) is replayed on the merge thread in the
- * serial interleave order.
- */
-struct AccessOps
-{
-    /** Private-level outcome (journal material for cutoff replay). */
-    bool l1Hit = false;
-    bool l1Evicted = false;
-    bool l2Accessed = false;
-    bool l2Hit = false;
-    bool l2Evicted = false;
-    /** The demand access missed every private level. */
-    bool llcDemand = false;
-    /** A dirty L1 victim was not absorbed privately and must spill. */
-    bool l1Spill = false;
-    /** A dirty L2 victim must spill toward the LLC/DRAM. */
-    bool l2Spill = false;
-    Addr l1SpillAddr = 0;
-    Addr l2SpillAddr = 0;
-
-    /** @return whether the record touches any shared state at all. */
-    bool
-    shared() const
-    {
-        return llcDemand || l1Spill || l2Spill;
-    }
 };
 
 /**
@@ -121,29 +78,6 @@ class MemoryHierarchy
      */
     Cycles access(CoreId core, Addr addr, PC pc, bool is_write,
                   Cycles now);
-
-    /**
-     * First half of access(): the private levels (L1, and L2 when
-     * enabled) of @p core only.  Thread-safe across distinct cores —
-     * it touches no shared state, recording the shared work the
-     * record implies in @p ops instead.
-     * @return the fixed latency component: the private hit latency,
-     * or the full depth down to an LLC hit when ops.llcDemand is set
-     * (the variable DRAM part comes from sharedAccess()).
-     */
-    Cycles privateAccess(CoreId core, const AccessInfo &info,
-                         AccessOps &ops);
-
-    /**
-     * Second half of access(): apply the shared work recorded by
-     * privateAccess() — write-back spills, the LLC demand lookup,
-     * prefetch issue and the DRAM read — at issue time @p now.
-     * Single-threaded: callers serialize all sharedAccess() calls in
-     * the access-clock total order.
-     * @return the variable latency (DRAM read cycles; 0 otherwise).
-     */
-    Cycles sharedAccess(const AccessInfo &info, const AccessOps &ops,
-                        Cycles now);
 
     /** @return the shared last-level cache. */
     Cache &llc() { return *llcCache; }
@@ -178,6 +112,9 @@ class MemoryHierarchy
     const HierarchyConfig &config() const { return cfg; }
 
   private:
+    /** Purge @p addr from every core's private levels (inclusion). */
+    void backInvalidate(Addr addr);
+
     HierarchyConfig cfg;
     std::vector<std::unique_ptr<Cache>> l1Caches;
     std::vector<std::unique_ptr<Cache>> l2Caches;

@@ -13,13 +13,9 @@
  * eviction set the attacker *does* discover goes stale before it
  * amortizes.
  *
- * The scramble happens on the *global* set index, before SliceMap
- * decomposes it into (slice, row) — so sliced and sharded runs see the
- * identical permutation and stay bit-identical at every width.  The
- * remap clock is the cache's own access tick, which the sharded run
- * engine drives serially from its merge thread in the exact serial
- * interleave order; determinism across --slices / --shard-jobs is
- * therefore structural, not incidental (pinned by tests).
+ * The remap clock is the cache's own access tick, so re-key points
+ * follow from the run's serial access order alone (the defended rows
+ * of tests/test_integration.cc's golden digests pin them).
  *
  * Spec grammar (parsed non-fatally for the server's never-fatal
  * request validation): `none`, `rand[:key=N]`, or

@@ -178,35 +178,6 @@ distinctBlocks(const WorkloadProfile &p, const HistView &time,
     return std::min(cold, std::min(n, opened));
 }
 
-/** @return the smallest own-access window covering @p d distinct
- *  blocks (infinite when the whole footprint is smaller). */
-double
-accessesToCover(const WorkloadProfile &p, const HistView &time,
-                double d)
-{
-    if (d <= 0.0)
-        return 0.0;
-    if (d >= static_cast<double>(p.coldAccesses))
-        return std::numeric_limits<double>::infinity();
-    // distinct(n) <= n, so n = d is a lower bound; double out to an
-    // upper bound, then bisect (distinct is monotone in n).
-    double lo = d;
-    double hi = d;
-    while (distinctBlocks(p, time, hi) < d) {
-        hi *= 2.0;
-        if (hi > 1e15)
-            return hi;
-    }
-    for (int it = 0; it < 40; ++it) {
-        const double n = 0.5 * (lo + hi);
-        if (distinctBlocks(p, time, n) < d)
-            lo = n;
-        else
-            hi = n;
-    }
-    return hi;
-}
-
 /**
  * Per-core lookup table over the window-pollution primitives.  Both
  * distinctBlocks() and its inverse depend only on the profile — not

@@ -53,15 +53,9 @@ class Fenwick
 
 ProfilePtr
 runPass(const std::string &label, TraceSourcePtr trace,
-        std::uint64_t records, const ProfileOptions &opt)
+        std::uint64_t records)
 {
     HierarchyConfig hier = defaultHierarchy(1);
-    if (opt.slices != 0)
-        hier.llc.slices = opt.slices;
-    if (!opt.sliceHash.empty())
-        hier.llc.sliceHash = opt.sliceHash;
-    if (opt.shardJobs != 0)
-        hier.shardJobs = opt.shardJobs;
 
     auto profile = std::make_shared<WorkloadProfile>();
     profile->workload = label;
@@ -80,9 +74,8 @@ runPass(const std::string &label, TraceSourcePtr trace,
 
     // Reuse-distance collection: Fenwick tree over last-touch
     // timestamps of the LLC demand stream.  The observer fires in the
-    // exact serial access order under every engine (the sharded merge
-    // thread replays the interleave), which is what keeps exported
-    // profiles byte-identical across execution shapes.
+    // serial access order, which is what keeps exported profiles
+    // byte-identical across collection-thread widths.
     Cache &llc = sys.hierarchy().llc();
     Fenwick marks(records + 1);
     std::unordered_map<Addr, std::size_t> lastTouch;
@@ -231,18 +224,17 @@ WorkloadProfile::toJson() const
 }
 
 ProfilePtr
-collectProfile(const std::string &workload, std::uint64_t records,
-               const ProfileOptions &opt)
+collectProfile(const std::string &workload, std::uint64_t records)
 {
     return runPass(workload, TraceArena::instance().open(workload),
-                   records, opt);
+                   records);
 }
 
 ProfilePtr
 collectProfileFromTrace(const std::string &label, TraceSourcePtr trace,
                         std::uint64_t records)
 {
-    return runPass(label, std::move(trace), records, ProfileOptions{});
+    return runPass(label, std::move(trace), records);
 }
 
 ProfileStore &

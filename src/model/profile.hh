@@ -21,10 +21,8 @@
  * the same once-semantics the run-alone IPC cache uses: concurrent
  * first requests block on one builder instead of duplicating the
  * pass.  Collection is deterministic — the observer fires in the
- * exact serial access order under the sliced and sharded engines too,
- * so an exported profile is byte-identical at every `--slices`,
- * `--shard-jobs` and collection-thread width (tests/test_model.cc
- * locks this in; it is what makes serving cached estimates sound).
+ * serial access order, so a profile is a pure function of (workload,
+ * window), which is what makes serving cached estimates sound.
  */
 
 #ifndef NUCACHE_MODEL_PROFILE_HH
@@ -63,14 +61,6 @@ struct PcNextUse
     std::uint64_t retires = 0;
     /** Next-use distances, in whole-cache misses of the pass. */
     LogHistogram nextUse;
-};
-
-/** Execution-shape knobs of a profiling pass (results identical). */
-struct ProfileOptions
-{
-    std::uint32_t slices = 0;
-    std::string sliceHash;
-    std::uint32_t shardJobs = 0;
 };
 
 /** Everything one profiling pass learned about one workload. */
@@ -141,8 +131,7 @@ using ProfilePtr = std::shared_ptr<const WorkloadProfile>;
  * of @p records.
  */
 ProfilePtr collectProfile(const std::string &workload,
-                          std::uint64_t records,
-                          const ProfileOptions &opt = {});
+                          std::uint64_t records);
 
 /**
  * Run one profiling pass over an externally supplied trace (the

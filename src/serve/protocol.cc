@@ -5,7 +5,6 @@
 
 #include "common/bitutil.hh"
 #include "mem/rand_index.hh"
-#include "mem/shard_mode.hh"
 #include "model/predictor.hh"
 #include "obs/obs_mode.hh"
 #include "sim/policies.hh"
@@ -68,17 +67,6 @@ validGeometry(const HierarchyConfig &hier, std::string &err)
     if ((sets & (sets - 1)) != 0) {
         err = "LLC set count " + std::to_string(sets) +
               " is not a power of two";
-        return false;
-    }
-    // Resolve against the server-wide default so a --slices startup
-    // flag cannot make Cache's constructor fatal() on a small LLC.
-    const std::uint32_t slices = llc.slices != 0
-                                     ? llc.slices
-                                     : shard::defaultSliceCount();
-    if (slices > sets) {
-        err = "'slices' (" + std::to_string(slices) +
-              ") exceeds the LLC set count (" + std::to_string(sets) +
-              ")";
         return false;
     }
     return true;
@@ -158,31 +146,6 @@ parseRunParams(const Json &params, Request &out, std::string &err)
             err = "'telemetry' must be true or a positive stride";
             return false;
         }
-    }
-
-    // Sliced-LLC execution knobs.  Pure execution-shape choices —
-    // results are bit-identical at every value — but still validated
-    // strictly so Cache/System never fatal() on server input.
-    std::uint64_t slices = 0;
-    if (!readUint(params, "slices", slices, present, err))
-        return false;
-    if (present) {
-        if (slices == 0 || slices > 256 ||
-            (slices & (slices - 1)) != 0) {
-            err = "'slices' must be a power of two in [1, 256]";
-            return false;
-        }
-        out.slices = static_cast<std::uint32_t>(slices);
-    }
-    std::uint64_t shard_jobs = 0;
-    if (!readUint(params, "shard_jobs", shard_jobs, present, err))
-        return false;
-    if (present) {
-        if (shard_jobs == 0 || shard_jobs > 64) {
-            err = "'shard_jobs' must be in [1, 64]";
-            return false;
-        }
-        out.shardJobs = static_cast<std::uint32_t>(shard_jobs);
     }
 
     const Json *stream = params.find("stream");
@@ -311,8 +274,7 @@ knownParamKeys(Op op, const Json &params, std::string &err)
 {
     static const std::vector<std::string> shared = {
         "policy", "records", "llc_kib", "llc_ways", "llc_defense",
-        "telemetry", "stream", "no_cache", "slices", "shard_jobs",
-        "mode"};
+        "telemetry", "stream", "no_cache", "mode"};
     for (const auto &[key, value] : params.members()) {
         (void)value;
         bool known =
@@ -492,10 +454,6 @@ requestHierarchy(const Request &req)
     // wholesale and would reset the defense field.
     if (!req.llcDefense.empty())
         hier.llc.defense = req.llcDefense;
-    if (req.slices != 0)
-        hier.llc.slices = req.slices;
-    if (req.shardJobs != 0)
-        hier.shardJobs = req.shardJobs;
     return hier;
 }
 
@@ -530,11 +488,6 @@ cacheKey(const Request &req, std::uint64_t default_records)
     //   so hit rates differ from the plain-indexed run), and the
     //   execution tier (an estimate must never be served for an
     //   exact request or vice versa).
-    // Deliberately absent: `slices` and `shard_jobs`.  Both are
-    // execution-shape knobs with bit-identical results at every
-    // value (DESIGN.md "Sliced LLC"; tests/test_serve.cc pins the
-    // sharing and tests/test_sliced.cc the identity), so folding
-    // them in would only fragment the cache.
     const HierarchyConfig hier = requestHierarchy(req);
     std::ostringstream key;
     key << "run_mix|" << req.mix.name;

@@ -31,13 +31,10 @@
  *                  stride; attaches the nucache-telemetry/v1 doc),
  *                  "stream" (with telemetry: deliver the run as
  *                  incremental frames, see below), "no_cache" (skip
- *                  the server's result cache), "llc_defense" (the
- *                  randomized-index defense spec of mem/rand_index.hh:
- *                  "none", "rand[:key=N]" or
- *                  "rand-dynamic[:key=N][,period=N]"), "slices" (LLC
- *                  slice count, a power of two) and "shard_jobs"
- *                  (intra-run worker threads) — the last two are
- *                  execution knobs with bit-identical results.
+ *                  the server's result cache), and "llc_defense"
+ *                  (the randomized-index defense spec of
+ *                  mem/rand_index.hh: "none", "rand[:key=N]" or
+ *                  "rand-dynamic[:key=N][,period=N]").
  *
  * run_mix workload names include the adversarial-traffic family
  * "attack:<scenario>[:key=value,...]" (scenarios evset / storm; see
@@ -169,14 +166,6 @@ struct Request
     bool noCache = false;
     /** Execution tier: exact simulation or analytical estimate. */
     Mode mode = Mode::Exact;
-    /**
-     * Sliced-LLC execution knobs; 0 = server default.  Both are
-     * layout/scheduling choices only: results are bit-identical at
-     * every slice count and worker width, so neither participates in
-     * the result-cache key.
-     */
-    std::uint32_t slices = 0;
-    std::uint32_t shardJobs = 0;
     /** metrics: answer as Prometheus text exposition instead of the
      *  nucache-metrics/v1 JSON document. */
     bool promFormat = false;

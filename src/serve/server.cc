@@ -880,7 +880,7 @@ Server::updateInterest(std::uint64_t conn_id, Connection &conn)
     if (want == conn.wantWrite)
         return;
     epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0);
+    ev.events = want ? EPOLLIN | EPOLLOUT : EPOLLIN;
     ev.data.u64 = conn_id;
     ::epoll_ctl(epollFd, EPOLL_CTL_MOD, conn.fd, &ev);
     conn.wantWrite = want;

@@ -68,36 +68,6 @@ class TraceCpu
     /** @return the workload name. */
     const std::string &workloadName() const { return trace->name(); }
 
-    /** @return the trace source (sharded engine drives it directly). */
-    TraceSource &source() { return *trace; }
-
-    /** @return the per-core address-space offset applied to records. */
-    Addr addressOffset() const { return addrOffset; }
-
-    /** @return the per-core PC-space tag applied to records. */
-    PC pcSpaceTag() const { return pcTag; }
-
-    /** @return the measurement-window record target. */
-    std::uint64_t targetRecords() const { return target; }
-
-    /**
-     * Install the outcome of a sharded replay wholesale.  The sharded
-     * engine replays this core's trace on a worker thread and computes
-     * the exact serial-equivalent cutoff state; this makes the core
-     * report it exactly as if step() had been driven to the target.
-     */
-    void
-    adoptShardRun(std::uint64_t frozen_instr, Cycles frozen_cycles,
-                  std::uint64_t records_replayed, std::uint64_t wraps)
-    {
-        frozenInstr = frozen_instr;
-        frozenCycles = frozen_cycles;
-        instructions = frozen_instr;
-        clock = frozen_cycles;
-        replayed = records_replayed;
-        wrapCount = wraps;
-    }
-
   private:
     CoreId coreId;
     TraceSourcePtr trace;

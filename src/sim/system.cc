@@ -1,7 +1,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <iostream>
 #include <ostream>
 
 #include "common/logging.hh"
@@ -165,18 +164,6 @@ System::setupTelemetry(std::uint64_t interval)
 SystemResult
 System::run()
 {
-    if (const unsigned workers = hier->config().shardJobs; workers > 1) {
-        if (hier->config().inclusive) {
-            // Back-invalidation writes into the private levels from
-            // the shared side, which breaks the private/shared split
-            // the sharded engine is built on.
-            std::cerr << "nucache: --shard-jobs ignored: inclusive LLC "
-                         "couples the private levels; running serially\n";
-        } else {
-            return runSharded(workers);
-        }
-    }
-
     // Interleave by local time: the core with the smallest clock issues
     // next, which serializes shared-LLC accesses in causal order.
     std::size_t pending = cpus.size();
@@ -198,12 +185,7 @@ System::run()
             --pending;
         }
     }
-    return assembleResult();
-}
 
-SystemResult
-System::assembleResult()
-{
     SystemResult result;
     for (const auto &cpu : cpus) {
         CoreResult cr;
@@ -224,7 +206,7 @@ System::assembleResult()
     for (const auto &checker : checkers)
         checker->checkAll();
 
-    if (obs::Sampler *smp = sampler.get(); smp) {
+    if (smp) {
         // Final snapshot (unless a stride boundary just took one),
         // then publish the finished series with the full stats tree.
         const std::uint64_t accesses = hier->llc().accessCount();

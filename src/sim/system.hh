@@ -96,21 +96,6 @@ class System
     std::uint64_t invariantChecksRun() const;
 
   private:
-    /**
-     * The sharded run engine (sim/sliced_run.cc): per-core generator
-     * workers replay the private levels ahead of time while the merge
-     * (this thread) reassembles the shared-LLC interleave in the exact
-     * serial total order.  Statistics are bit-identical to the serial
-     * engine at every worker width.
-     */
-    SystemResult runSharded(unsigned workers);
-
-    /**
-     * Shared tail of both engines: collect per-core results, run the
-     * closing invariant audit, publish telemetry.
-     */
-    SystemResult assembleResult();
-
     /** Build every StatGroup of the tree and hand it to @p emit. */
     void forEachStatGroup(const std::function<void(StatGroup &)> &emit)
         const;

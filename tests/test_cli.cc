@@ -8,7 +8,6 @@
 
 #include "bench_common.hh"
 #include "common/cli.hh"
-#include "mem/shard_mode.hh"
 
 namespace nucache
 {
@@ -78,43 +77,6 @@ TEST(CliArgsDeathTest, RejectsZeroJobs)
     EXPECT_EXIT(bench::parseOptions(a, 1000),
                 ::testing::ExitedWithCode(1),
                 "--jobs must be at least 1");
-}
-
-TEST(CliArgsDeathTest, RejectsZeroSlices)
-{
-    const auto a = parse({"--slices=0"});
-    EXPECT_EXIT(bench::parseOptions(a, 1000),
-                ::testing::ExitedWithCode(1),
-                "--slices must be at least 1");
-}
-
-TEST(CliArgsDeathTest, RejectsZeroShardJobs)
-{
-    const auto a = parse({"--shard-jobs=0"});
-    EXPECT_EXIT(bench::parseOptions(a, 1000),
-                ::testing::ExitedWithCode(1),
-                "--shard-jobs must be at least 1");
-}
-
-TEST(CliArgsDeathTest, RejectsUnknownSliceHashName)
-{
-    const auto a = parse({"--slice-hash=crc"});
-    EXPECT_EXIT(bench::parseOptions(a, 1000),
-                ::testing::ExitedWithCode(1), "unknown slice hash");
-}
-
-TEST(CliArgs, SlicedFlagsRaiseProcessDefaults)
-{
-    const auto a = parse({"--slices=4", "--slice-hash=xor",
-                          "--shard-jobs=2"});
-    bench::parseOptions(a, 1000);
-    EXPECT_EQ(shard::defaultSliceCount(), 4u);
-    EXPECT_EQ(shard::defaultSliceHash(), "xor");
-    EXPECT_EQ(shard::defaultShardJobs(), 2u);
-    // Restore: other tests rely on the serial single-slice default.
-    shard::setDefaultSliceCount(1);
-    shard::setDefaultSliceHash("mod");
-    shard::setDefaultShardJobs(1);
 }
 
 } // anonymous namespace

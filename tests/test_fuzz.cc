@@ -282,8 +282,9 @@ TEST(AttackFuzz, RandomDefenseSpecsParseOrFailCleanly)
         IndexDefenseConfig cfg;
         std::string err;
         if (tryParseIndexDefense(spec, cfg, err)) {
-            if (cfg.kind == IndexDefenseKind::RandDynamic)
+            if (cfg.kind == IndexDefenseKind::RandDynamic) {
                 ASSERT_GT(cfg.period, 0u);
+            }
             // The canonical rendering must round-trip.
             IndexDefenseConfig again;
             ASSERT_TRUE(tryParseIndexDefense(cfg.spec(), again, err));

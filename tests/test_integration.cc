@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+#include <string>
+
 #include "core/nucache.hh"
 #include "sim/run_engine.hh"
 #include "sim/policies.hh"
@@ -125,6 +129,129 @@ TEST(Integration, DeterministicMixResults)
     EXPECT_DOUBLE_EQ(a.weightedSpeedup, b.weightedSpeedup);
     for (std::size_t i = 0; i < a.system.cores.size(); ++i)
         EXPECT_DOUBLE_EQ(a.system.cores[i].ipc, b.system.cores[i].ipc);
+}
+
+/** @return FNV-1a 64 of @p text as 16 lowercase hex digits. */
+std::string
+fnv1aHex(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char ch : text) {
+        h ^= ch;
+        h *= 0x100000001b3ull;
+    }
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+/**
+ * Digest of the full stats tree of one 4-core serial run.  @p shape
+ * names the hierarchy variant: "default", "private-l2", "prefetch",
+ * "inclusive", or "defended" (rand-dynamic index scrambling under an
+ * attack-heavy mix).
+ */
+std::string
+serialRunDigest(const std::string &policy, const std::string &shape)
+{
+    HierarchyConfig hier = defaultHierarchy(4);
+    hier.llc = CacheConfig{"llc", 256 << 10, 16, 64};
+    std::vector<std::string> names = {"small_ws", "stream_pure", "zipf_hot",
+                                      "echo_near"};
+    if (shape == "private-l2") {
+        hier.enableL2 = true;
+        hier.l2 = CacheConfig{"l2", 32 << 10, 8, 64};
+    } else if (shape == "prefetch") {
+        hier.prefetch.enabled = true;
+    } else if (shape == "inclusive") {
+        hier.inclusive = true;
+    } else if (shape == "defended") {
+        hier.llc.defense = "rand-dynamic:key=123,period=5000";
+        names = {"attack:evset", "zipf_hot", "attack:storm:sets=256,ways=16",
+                 "stream_pure"};
+    }
+    std::vector<TraceSourcePtr> traces;
+    for (const std::string &name : names)
+        traces.push_back(makeWorkload(name, 12000));
+    System sys(hier, makePolicy(policy), std::move(traces), 12000);
+    sys.run();
+    std::ostringstream os;
+    sys.statsJson().dump(os);
+    return fnv1aHex(os.str());
+}
+
+/**
+ * Pinned statistics of the serial engine: every evaluation policy
+ * across the hierarchy variants.  A change to the access path or the
+ * tag store that moves any counter of any cache changes a digest.
+ * The defended rows coincide: re-keying every 5000 accesses flushes
+ * the 4096-line LLC too often for any victim choice to show.
+ */
+TEST(SerialGolden, StatsDigestsArePinned)
+{
+    struct Row
+    {
+        const char *shape;
+        const char *policy;
+        const char *digest;
+    };
+    static const Row rows[] = {
+        {"default", "lru", "e3c43f6085bbab1d"},
+        {"default", "dip", "ccdab174bd37f02f"},
+        {"default", "tadip", "e46ddc06e1865d13"},
+        {"default", "ucp", "af440037e09d8fce"},
+        {"default", "pipp", "46be3f766f88545e"},
+        {"default", "nucache", "e3c43f6085bbab1d"},
+        {"default", "nucache:epoch=2000", "cfb2ce7951c993d1"},
+        {"private-l2", "lru", "9c1af96279fc4536"},
+        {"private-l2", "dip", "e15dfd1bb7c744c8"},
+        {"private-l2", "tadip", "161d68f34beb7196"},
+        {"private-l2", "ucp", "a2de3bda8aa48e55"},
+        {"private-l2", "pipp", "d8599c0f02da0ec3"},
+        {"private-l2", "nucache", "9c1af96279fc4536"},
+        {"private-l2", "nucache:epoch=2000", "647913fbe95b1545"},
+        {"prefetch", "lru", "a520e9a77b62ee88"},
+        {"prefetch", "dip", "88c626960adf98f7"},
+        {"prefetch", "tadip", "d9cc7db1d3ce3e43"},
+        {"prefetch", "ucp", "eb6ebb54f78b41e0"},
+        {"prefetch", "pipp", "5b21d7406d34d0c3"},
+        {"prefetch", "nucache", "a520e9a77b62ee88"},
+        {"prefetch", "nucache:epoch=2000", "7dd131b88f171b6f"},
+        {"inclusive", "lru", "619ac7d5c619f2e4"},
+        {"inclusive", "dip", "2261a97488a6fb30"},
+        {"inclusive", "tadip", "6fb68a4944ebffb8"},
+        {"inclusive", "ucp", "ac6e8c414c8a6d33"},
+        {"inclusive", "pipp", "5bcded86cc1dfe8b"},
+        {"inclusive", "nucache", "619ac7d5c619f2e4"},
+        {"inclusive", "nucache:epoch=2000", "091c5f7ba5631a3b"},
+        {"defended", "lru", "784ea6a0d75926f6"},
+        {"defended", "dip", "784ea6a0d75926f6"},
+        {"defended", "tadip", "784ea6a0d75926f6"},
+        {"defended", "ucp", "784ea6a0d75926f6"},
+        {"defended", "pipp", "784ea6a0d75926f6"},
+        {"defended", "nucache", "784ea6a0d75926f6"},
+        {"defended", "nucache:epoch=2000", "784ea6a0d75926f6"},
+    };
+    std::size_t checked = 0;
+    for (const std::string shape :
+         {"default", "private-l2", "prefetch", "inclusive", "defended"}) {
+        // Plus a NUcache whose short epoch lets PC selection and the
+        // DeliWays run inside these 12k-record windows.
+        std::vector<std::string> policies = evaluationPolicySet();
+        policies.push_back("nucache:epoch=2000");
+        for (const std::string &policy : policies) {
+            std::string want;
+            for (const Row &row : rows) {
+                if (row.shape == shape && row.policy == policy)
+                    want = row.digest;
+            }
+            EXPECT_EQ(serialRunDigest(policy, shape), want)
+                << "{\"" << shape << "\", \"" << policy << "\"}";
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(rows));
 }
 
 } // anonymous namespace

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the estimate tier's input side (workload profiles) and
- * analytical predictor: profile collection must be byte-deterministic
- * across every execution shape, the store must memoize one pass per
+ * analytical predictor: the store must memoize one pass per
  * (workload, window), and the model must be a pure deterministic
  * function of its inputs that tracks the simulator on the easy cases
  * (run-alone) and stays sane on the hard ones (multiprogrammed).
@@ -26,31 +25,6 @@ namespace
 
 /** Small window keeps a profiling pass cheap; plenty for structure. */
 constexpr std::uint64_t kRecords = 4'000;
-
-TEST(Profile, ExportIsIdenticalAcrossExecutionShapes)
-{
-    const std::string workload = "mix_rw";
-    const ProfilePtr serial = collectProfile(workload, kRecords);
-    const std::string want = serial->toJson().str(0);
-
-    ProfileOptions sliced;
-    sliced.slices = 4;
-    EXPECT_EQ(collectProfile(workload, kRecords, sliced)->toJson().str(0),
-              want);
-
-    ProfileOptions sharded;
-    sharded.shardJobs = 2;
-    EXPECT_EQ(
-        collectProfile(workload, kRecords, sharded)->toJson().str(0),
-        want);
-
-    ProfileOptions both;
-    both.slices = 2;
-    both.sliceHash = "xor";
-    both.shardJobs = 2;
-    EXPECT_EQ(collectProfile(workload, kRecords, both)->toJson().str(0),
-              want);
-}
 
 TEST(Profile, DocumentCarriesSchemaAndHistograms)
 {

@@ -179,35 +179,13 @@ TEST(Protocol, RejectsImpossibleGeometry)
                R"("llc_kib":48}})");
 }
 
-TEST(Protocol, ParsesSlicedExecutionKnobs)
+TEST(Protocol, RejectsSlicedExecutionKnobs)
 {
-    const Request req = mustParse(
-        R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-        R"("slices":4,"shard_jobs":2}})");
-    EXPECT_EQ(req.slices, 4u);
-    EXPECT_EQ(req.shardJobs, 2u);
-    const HierarchyConfig hier = serve::requestHierarchy(req);
-    EXPECT_EQ(hier.llc.slices, 4u);
-    EXPECT_EQ(hier.shardJobs, 2u);
-}
-
-TEST(Protocol, RejectsBadSlicedExecutionKnobs)
-{
-    // Zero, non-power-of-two, and over-cap slice counts; zero and
-    // over-cap worker widths; more slices than the LLC has sets
-    // (64 KiB / 16 ways / 64 B = 64 sets).
-    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-               R"("slices":0}})");
-    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-               R"("slices":3}})");
-    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-               R"("slices":512}})");
-    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-               R"("shard_jobs":0}})");
-    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-               R"("shard_jobs":65}})");
-    mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-               R"("llc_kib":64,"slices":128}})");
+    // The LLC is one flat tag store run by one serial engine, so the
+    // former execution-shape knobs get the generic unknown-key error.
+    EXPECT_EQ(mustReject(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+                         R"("slices":4}})"),
+              "unknown parameter 'slices' for op 'run_mix'");
 }
 
 TEST(Protocol, ParsesEstimateMode)
@@ -311,15 +289,6 @@ TEST(Protocol, CacheKeyAuditsEveryResultAffectingField)
     const Request base = mustParse(
         R"({"op":"run_mix","params":{"mix":"mix2_01"}})");
     const std::string key = serve::cacheKey(base, 250'000);
-
-    // `slices` and `shard_jobs` are execution-shape knobs with
-    // bit-identical results (tests/test_sliced.cc), so requests
-    // differing only there must SHARE a cache entry — keying them
-    // would fragment the cache for no correctness gain.
-    const Request shaped = mustParse(
-        R"({"op":"run_mix","params":{"mix":"mix2_01",)"
-        R"("slices":4,"shard_jobs":2}})");
-    EXPECT_EQ(serve::cacheKey(shaped, 250'000), key);
 
     // Everything that changes the response bytes must change the key:
     // geometry, window, policy, mix, and the execution tier.

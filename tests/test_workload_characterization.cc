@@ -41,6 +41,17 @@ struct Band
     double hi;
 };
 
+/**
+ * Print a band by its workload name.  Without this, gtest prints the
+ * raw bytes of the struct, which include the string pointer, so the
+ * listed test names would change with every build and every ASLR slide.
+ */
+void
+PrintTo(const Band &band, std::ostream *os)
+{
+    *os << band.workload;
+}
+
 class WorkloadClass : public ::testing::TestWithParam<Band>
 {
 };

@@ -38,9 +38,6 @@
  * --json=FILE additionally writes the `nucache-bench/v1` document.
  * Exits non-zero on any error response or dropped connection.
  *
- * --slices=S / --shard-jobs=J forward the sliced-LLC execution knobs
- * as request params (results are bit-identical at any value).
- *
  * --mode=exact|estimate forwards the run_mix execution tier.  With
  * --bench, --mode=estimate appends an *estimate phase* after the
  * exact measured phase: one unmeasured priming request builds the
@@ -158,10 +155,6 @@ buildRequest(const CliArgs &args, std::uint64_t id,
         params["mode"] = std::string(mode_override);
     else if (args.has("mode"))
         params["mode"] = args.get("mode", "exact");
-    if (args.has("slices"))
-        params["slices"] = args.getInt("slices", 0);
-    if (args.has("shard-jobs"))
-        params["shard_jobs"] = args.getInt("shard-jobs", 0);
     req["params"] = std::move(params);
     return req.str(0);
 }

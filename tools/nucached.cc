@@ -10,8 +10,7 @@
  *            [--serve-shards=1] [--records=250000]
  *            [--queue-depth=512] [--batch-max=8]
  *            [--deadline-ms=30000] [--max-conns=1024] [--cache=256]
- *            [--max-outbound-kib=8192] [--slices=S]
- *            [--slice-hash=mod|xor] [--shard-jobs=J]
+ *            [--max-outbound-kib=8192]
  *            [--check] [--port-file=FILE] [--trace-out=FILE]
  *            [--quiet]
  *
@@ -21,10 +20,6 @@
  * --max-outbound-kib caps each connection's outbound buffer: a
  * client that stops reading past the cap is shed (slow_clients in
  * stats) instead of blocking the event loop.
- *
- * --slices / --slice-hash / --shard-jobs set the server-wide sliced
- * LLC defaults; requests may override per run with the "slices" and
- * "shard_jobs" params.  Results are bit-identical either way.
  *
  * --port=0 binds an ephemeral port; --port-file writes the bound
  * port to FILE once the server is listening (for scripts and CI).
@@ -45,7 +40,6 @@
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "mem/shard_mode.hh"
 #include "obs/tracer.hh"
 #include "serve/server.hh"
 
@@ -96,16 +90,6 @@ main(int argc, char **argv)
     cfg.service.resultCacheEntries =
         args.getInt("cache", cfg.service.resultCacheEntries);
     cfg.service.check = args.has("check") || check::enabled();
-    if (args.has("slices")) {
-        shard::setDefaultSliceCount(
-            static_cast<std::uint32_t>(args.getInt("slices", 1)));
-    }
-    if (args.has("slice-hash"))
-        shard::setDefaultSliceHash(args.get("slice-hash", "mod"));
-    if (args.has("shard-jobs")) {
-        shard::setDefaultShardJobs(
-            static_cast<unsigned>(args.getInt("shard-jobs", 1)));
-    }
     if (cfg.service.defaultRecords < serve::kMinRecords ||
         cfg.service.defaultRecords > serve::kMaxRecords)
         fatal("--records must be in [", serve::kMinRecords, ", ",

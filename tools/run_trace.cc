@@ -9,7 +9,6 @@
  *   run_trace [--policy=nucache] [--records=N] [--llc-kib=1024]
  *             [--llc-ways=16] [--check] [--json=FILE]
  *             [--telemetry[=N]] [--trace-out=FILE]
- *             [--slices=S] [--slice-hash=mod|xor] [--shard-jobs=J]
  *             [--mode=exact|estimate]
  *             a.nutrace [b.nutrace ...]
  *
@@ -36,7 +35,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "mem/shard_mode.hh"
 #include "model/predictor.hh"
 #include "model/profile.hh"
 #include "obs/obs_mode.hh"
@@ -57,8 +55,7 @@ main(int argc, char **argv)
         std::cerr << "usage: run_trace [--policy=P] [--records=N] "
                      "[--llc-kib=K] [--llc-ways=W] [--check] "
                      "[--json=FILE] [--telemetry[=N]] "
-                     "[--trace-out=FILE] [--slices=S] "
-                     "[--slice-hash=mod|xor] [--shard-jobs=J] "
+                     "[--trace-out=FILE] [--mode=exact|estimate] "
                      "TRACE...\n";
         return 1;
     }
@@ -183,19 +180,6 @@ main(int argc, char **argv)
     const std::string trace_out = args.get("trace-out", "");
     if (!trace_out.empty())
         obs::Tracer::instance().start(trace_out);
-
-    // Sliced-LLC knobs: results are bit-identical at every slice
-    // count and worker width; the setters reject invalid values.
-    if (args.has("slices")) {
-        shard::setDefaultSliceCount(
-            static_cast<std::uint32_t>(args.getInt("slices", 1)));
-    }
-    if (args.has("slice-hash"))
-        shard::setDefaultSliceHash(args.get("slice-hash", "mod"));
-    if (args.has("shard-jobs")) {
-        shard::setDefaultShardJobs(
-            static_cast<unsigned>(args.getInt("shard-jobs", 1)));
-    }
 
     System sys(hier, makePolicy(policy), std::move(traces), records,
                check::enabled());
