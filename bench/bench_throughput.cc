@@ -361,6 +361,7 @@ main(int argc, char **argv)
         sel_cells.push(std::move(c));
     }
     sel["cells"] = std::move(sel_cells);
+    sel["hardware_threads"] = hw_threads;
     sel_table.print(std::cout);
 
     // Serve-loopback A/B: prove the always-on server observability

@@ -1,6 +1,5 @@
 #include "common/histogram.hh"
 
-#include "common/bitutil.hh"
 #include "common/logging.hh"
 
 #include <algorithm>
@@ -19,43 +18,6 @@ LogHistogram::LogHistogram(unsigned max_log2, unsigned sub_bits)
     // top of the 2^subBits exact unit buckets below them.
     const unsigned base = 1u << subBits;
     counts.assign((max_log2 - subBits + 1) * base + base, 0);
-}
-
-unsigned
-LogHistogram::bucketOf(std::uint64_t value) const
-{
-    const std::uint64_t base = std::uint64_t{1} << subBits;
-    unsigned b;
-    if (value < base) {
-        b = static_cast<unsigned>(value);
-    } else {
-        const unsigned e = floorLog2(value);
-        const unsigned offset = static_cast<unsigned>(
-            (value >> (e - subBits)) - base);
-        b = static_cast<unsigned>((e - subBits + 1) * base + offset);
-    }
-    return std::min(b, numBuckets() - 1);
-}
-
-std::uint64_t
-LogHistogram::bucketLow(unsigned b) const
-{
-    const std::uint64_t base = std::uint64_t{1} << subBits;
-    if (b < base)
-        return b;
-    const unsigned g = b / static_cast<unsigned>(base) - 1;
-    const std::uint64_t offset = b % base;
-    return (base + offset) << g;
-}
-
-std::uint64_t
-LogHistogram::bucketHigh(unsigned b) const
-{
-    const std::uint64_t base = std::uint64_t{1} << subBits;
-    if (b < base)
-        return b + 1;
-    const unsigned g = b / static_cast<unsigned>(base) - 1;
-    return bucketLow(b) + (std::uint64_t{1} << g);
 }
 
 void
@@ -85,6 +47,16 @@ LogHistogram::countAtOrBelow(std::uint64_t limit) const
     return covered;
 }
 
+LogHistogramCdf::LogHistogramCdf(const LogHistogram &h)
+    : hist(&h), cum(h.numBuckets() + 1, 0.0)
+{
+    std::uint64_t below = 0;
+    for (unsigned b = 0; b < h.numBuckets(); ++b) {
+        below += h.count(b);
+        cum[b + 1] = static_cast<double>(below);
+    }
+}
+
 void
 LogHistogram::decay()
 {
@@ -105,76 +77,11 @@ LogHistogram::clear()
 void
 LogHistogram::merge(const LogHistogram &other)
 {
-    if (other.numBuckets() != numBuckets() || other.subBits != subBits)
+    if (!sameLayout(other))
         panic("LogHistogram::merge: bucket layout mismatch");
     for (unsigned b = 0; b < numBuckets(); ++b)
         counts[b] += other.counts[b];
     totalCount += other.totalCount;
-}
-
-LinearHistogram::LinearHistogram(std::uint64_t bucket_width,
-                                 unsigned num_buckets)
-    : width(bucket_width), counts(num_buckets, 0), totalCount(0)
-{
-    if (bucket_width == 0)
-        fatal("LinearHistogram bucket width must be non-zero");
-    if (num_buckets == 0)
-        fatal("LinearHistogram needs at least one bucket");
-}
-
-void
-LinearHistogram::add(std::uint64_t value, std::uint64_t count)
-{
-    const std::uint64_t b =
-        std::min<std::uint64_t>(value / width, counts.size() - 1);
-    counts[static_cast<std::size_t>(b)] += count;
-    totalCount += count;
-}
-
-double
-LinearHistogram::mean() const
-{
-    if (totalCount == 0)
-        return 0.0;
-    double sum = 0.0;
-    for (unsigned b = 0; b < numBuckets(); ++b) {
-        const double mid = (static_cast<double>(b) + 0.5) *
-                           static_cast<double>(width);
-        sum += mid * static_cast<double>(counts[b]);
-    }
-    return sum / static_cast<double>(totalCount);
-}
-
-std::uint64_t
-LinearHistogram::quantile(double q) const
-{
-    if (totalCount == 0)
-        return 0;
-    const double target = q * static_cast<double>(totalCount);
-    double seen = 0.0;
-    for (unsigned b = 0; b < numBuckets(); ++b) {
-        seen += static_cast<double>(counts[b]);
-        if (seen >= target)
-            return static_cast<std::uint64_t>(b + 1) * width;
-    }
-    return static_cast<std::uint64_t>(numBuckets()) * width;
-}
-
-void
-LinearHistogram::decay()
-{
-    totalCount = 0;
-    for (auto &c : counts) {
-        c >>= 1;
-        totalCount += c;
-    }
-}
-
-void
-LinearHistogram::clear()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    totalCount = 0;
 }
 
 } // namespace nucache

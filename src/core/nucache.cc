@@ -1,6 +1,7 @@
 #include "core/nucache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "obs/tracer.hh"
@@ -42,8 +43,9 @@ NUcachePolicy::init(const PolicyContext &ctx)
     if (deliWays >= ctx.numWays)
         fatal("NUcache: ", deliWays, " DeliWays leaves no MainWays in a ",
               ctx.numWays, "-way cache");
-    meta.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays,
-                LineMeta{});
+    stamp.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays, 0);
+    masks.assign(ctx.numSets, SetMasks{});
+    selGeneration = 0;
     mainHitPos.assign(ctx.numWays, 0);
     numon = NextUseMonitor(effMonitor);
     selected.clear();
@@ -85,80 +87,50 @@ NUcachePolicy::isSelected(PC pc) const
 }
 
 std::uint32_t
-NUcachePolicy::mainLruWay(const SetView &set) const
+NUcachePolicy::oldestIn(const SetView &set, std::uint64_t mask) const
 {
-    std::uint32_t victim = set.ways();
-    Tick oldest = ~Tick{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (set.line(w).valid && m.region == Region::Main &&
-            m.lastTouch < oldest) {
-            oldest = m.lastTouch;
-            victim = w;
-        }
-    }
-    return victim;
-}
-
-std::uint32_t
-NUcachePolicy::staleDeliWay(const SetView &set) const
-{
+    const std::uint64_t *row = &stamp[slot(set.setIndex(), 0)];
     std::uint32_t victim = set.ways();
     std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (set.line(w).valid && m.region == Region::Deli &&
-            !isSelected(set.line(w).pc) && m.fifoSeq < oldest) {
-            oldest = m.fifoSeq;
+    for (; mask != 0; mask &= mask - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(mask));
+        if (row[w] < oldest) {
+            oldest = row[w];
             victim = w;
         }
     }
     return victim;
 }
 
-std::uint32_t
-NUcachePolicy::deliOldestWay(const SetView &set) const
+NUcachePolicy::SetMasks &
+NUcachePolicy::freshMasks(const SetView &set)
 {
-    std::uint32_t victim = set.ways();
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (set.line(w).valid && m.region == Region::Deli &&
-            m.fifoSeq < oldest) {
-            oldest = m.fifoSeq;
-            victim = w;
+    SetMasks &m = masks[set.setIndex()];
+    if (m.selGen != selGeneration) {
+        m.sel = 0;
+        for (std::uint64_t v = set.validMask(); v != 0; v &= v - 1) {
+            const auto w = static_cast<std::uint32_t>(std::countr_zero(v));
+            if (isSelected(set.line(w).pc))
+                m.sel |= std::uint64_t{1} << w;
         }
+        m.selGen = selGeneration;
     }
-    return victim;
-}
-
-std::uint32_t
-NUcachePolicy::mainCount(const SetView &set) const
-{
-    std::uint32_t n = 0;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (set.line(w).valid &&
-            meta[slot(set.setIndex(), w)].region == Region::Main) {
-            ++n;
-        }
-    }
-    return n;
+    return m;
 }
 
 void
 NUcachePolicy::enforceMainBound(const SetView &set)
 {
-    while (mainCount(set) > mainWays()) {
-        const std::uint32_t lru = mainLruWay(set);
-        if (lru == set.ways())
-            panic("NUcache: main bound violated with no Main lines");
-        LineMeta &m = meta[slot(set.setIndex(), lru)];
-        m.region = Region::Deli;
-        m.fifoSeq = ++fifoCounter;
+    SetMasks &m = masks[set.setIndex()];
+    while (static_cast<std::uint32_t>(std::popcount(mainMask(set))) >
+           mainWays()) {
+        const std::uint32_t lru = oldestIn(set, mainMask(set));
+        m.deli |= std::uint64_t{1} << lru;
+        stamp[slot(set.setIndex(), lru)] = ++fifoCounter;
         // The block retires from the MainWays here: this is the moment
         // the Next-Use clock starts for it.
-        numon.onRetire(set.setIndex(), set.line(lru).tag,
-                       set.line(lru).pc);
+        const CacheLine line = set.line(lru);
+        numon.onRetire(set.setIndex(), line.tag, line.pc);
     }
 }
 
@@ -166,30 +138,29 @@ std::uint32_t
 NUcachePolicy::victimWay(const SetView &set, const AccessInfo &info)
 {
     (void)info;
-    const std::uint32_t main_lru = mainLruWay(set);
-    if (main_lru == set.ways())
+    const SetMasks &m = freshMasks(set);
+    const std::uint64_t main = mainMask(set);
+    if (main == 0)
         panic("NUcache: full set with no MainWays lines");
-
     if (deliWays == 0)
-        return main_lru;
+        return oldestIn(set, main);
 
     // Stale DeliWays lines — those whose allocating PC is no longer
     // selected (selection changed, or they arrived via demotion churn)
     // — are reclaimed first.  This keeps the DeliWays from rotting
     // into dead capacity and makes NUcache degenerate gracefully to
     // (W-D)-way LRU plus a FIFO annex when nothing is selected.
-    const std::uint32_t stale = staleDeliWay(set);
+    const std::uint64_t deli = set.validMask() & m.deli;
+    const std::uint32_t stale = oldestIn(set, deli & ~m.sel);
     if (stale != set.ways())
         return stale;
 
     // If the Main-LRU block deserves retention, sacrifice the oldest
     // DeliWays block instead; the displaced Main-LRU will be demoted
     // into the freed slot by the fill-path invariant enforcement.
-    if (isSelected(set.line(main_lru).pc)) {
-        const std::uint32_t deli_oldest = deliOldestWay(set);
-        if (deli_oldest != set.ways())
-            return deli_oldest;
-    }
+    const std::uint32_t main_lru = oldestIn(set, main);
+    if (((m.sel >> main_lru) & 1) != 0 && deli != 0)
+        return oldestIn(set, deli);
     return main_lru;
 }
 
@@ -197,8 +168,10 @@ void
 NUcachePolicy::onHit(const SetView &set, std::uint32_t way,
                      const AccessInfo &info)
 {
-    LineMeta &m = meta[slot(set.setIndex(), way)];
-    if (m.region == Region::Deli) {
+    const std::uint64_t bit = std::uint64_t{1} << way;
+    std::uint64_t &line_stamp = stamp[slot(set.setIndex(), way)];
+    if ((masks[set.setIndex()].deli & bit) != 0) {
+        SetMasks &m = freshMasks(set);
         ++deliHitCount;
         // A DeliWays hit is a successful next-use: record its distance
         // so the selection keeps seeing the PCs it is saving.
@@ -211,22 +184,21 @@ NUcachePolicy::onHit(const SetView &set, std::uint32_t way,
         // window from demotion churn.  (Stale demoted blocks are
         // reclaimed first by the victim path, so promotion is
         // otherwise safe.)
-        const std::uint32_t main_lru = mainLruWay(set);
+        const std::uint64_t main = mainMask(set);
         const bool can_promote =
-            mainCount(set) < mainWays() ||
-            (main_lru != set.ways() &&
-             isSelected(set.line(main_lru).pc)) ||
-            !isSelected(set.line(way).pc);
+            static_cast<std::uint32_t>(std::popcount(main)) < mainWays() ||
+            (m.sel & bit) == 0 ||
+            (main != 0 && ((m.sel >> oldestIn(set, main)) & 1) != 0);
         if (can_promote) {
-            m.region = Region::Main;
-            m.lastTouch = info.tick;
+            m.deli &= ~bit;
+            line_stamp = info.tick;
             enforceMainBound(set);
         } else {
             // A lease refresh re-enters the FIFO tail: it consumes
             // DeliWays lifetime exactly like an insertion, so it must
             // be accounted in the insertion-rate estimate or the
             // selection drifts low at high hit rates and overshoots.
-            m.fifoSeq = ++fifoCounter;
+            line_stamp = ++fifoCounter;
             ++leaseRefreshCount;
             numon.onLease(set.setIndex(), set.line(way).pc);
         }
@@ -235,18 +207,13 @@ NUcachePolicy::onHit(const SetView &set, std::uint32_t way,
     // MainWays hit: in adaptive mode, record its recency rank on
     // sampled sets (the hits a smaller MainWays would forfeit).
     if (cfg.adaptiveDeli && numon.sampled(set.setIndex())) {
+        const std::uint64_t *row = &stamp[slot(set.setIndex(), 0)];
         std::uint32_t rank = 0;
-        for (std::uint32_t w = 0; w < set.ways(); ++w) {
-            const LineMeta &o = meta[slot(set.setIndex(), w)];
-            if (w != way && set.line(w).valid &&
-                o.region == Region::Main &&
-                o.lastTouch > m.lastTouch) {
-                ++rank;
-            }
-        }
+        for (std::uint64_t o = mainMask(set) & ~bit; o != 0; o &= o - 1)
+            rank += row[std::countr_zero(o)] > line_stamp ? 1 : 0;
         ++mainHitPos[rank];
     }
-    m.lastTouch = info.tick;
+    line_stamp = info.tick;
 }
 
 void
@@ -265,7 +232,7 @@ NUcachePolicy::onEvict(const SetView &set, std::uint32_t way,
     // A MainWays line evicted outright retires here.  A DeliWays line
     // already retired when it was demoted; re-boarding it would reset
     // its Next-Use clock and understate the distance.
-    if (meta[slot(set.setIndex(), way)].region == Region::Main)
+    if (((masks[set.setIndex()].deli >> way) & 1) == 0)
         numon.onRetire(set.setIndex(), victim.tag, victim.pc);
 }
 
@@ -273,9 +240,11 @@ void
 NUcachePolicy::onFill(const SetView &set, std::uint32_t way,
                       const AccessInfo &info)
 {
-    LineMeta &m = meta[slot(set.setIndex(), way)];
-    m.region = Region::Main;
-    m.lastTouch = info.tick;
+    SetMasks &m = freshMasks(set);
+    const std::uint64_t bit = std::uint64_t{1} << way;
+    m.deli &= ~bit;
+    m.sel = isSelected(info.pc) ? m.sel | bit : m.sel & ~bit;
+    stamp[slot(set.setIndex(), way)] = info.tick;
     enforceMainBound(set);
 }
 
@@ -283,7 +252,8 @@ void
 NUcachePolicy::runSelection()
 {
     ++epochCount;
-    const std::unordered_set<PC> before = selected;
+    // All and None admit by mode: their list stays empty.
+    std::vector<PC> next;
     if (cfg.selection == NUcacheConfig::Selection::CostBenefit) {
         const auto candidates =
             numon.topDelinquent(effSelector.candidatePcs);
@@ -320,38 +290,38 @@ NUcachePolicy::runSelection()
                 }
             }
             deliWays = best_d;
-            selected.clear();
-            selected.insert(best_sel.selected.begin(),
-                            best_sel.selected.end());
+            next = std::move(best_sel.selected);
         } else {
             const std::uint64_t capacity =
                 static_cast<std::uint64_t>(deliWays) * context.numSets;
-            const auto result = selectDelinquentPcs(
-                candidates, capacity, numon.totalMisses(), effSelector,
-                previous);
-            selected.clear();
-            selected.insert(result.selected.begin(),
-                            result.selected.end());
+            next = selectDelinquentPcs(candidates, capacity,
+                                       numon.totalMisses(), effSelector,
+                                       previous)
+                       .selected;
         }
         for (auto &h : mainHitPos)
             h >>= 1;
     } else if (cfg.selection == NUcacheConfig::Selection::TopK) {
-        const auto candidates =
-            numon.topDelinquent(effSelector.candidatePcs);
-        const auto result = selectTopKByMisses(candidates, cfg.topK);
-        selected.clear();
-        selected.insert(result.selected.begin(), result.selected.end());
+        next = selectTopKByMisses(
+                   numon.topDelinquent(effSelector.candidatePcs), cfg.topK)
+                   .selected;
     }
     numon.epochDecay();
 
     // Membership churn: symmetric difference of the admission list
     // across the epoch boundary (0 when the selection is stable).
+    std::unordered_set<PC> after(next.begin(), next.end());
     std::uint64_t churn = 0;
-    for (const PC pc : selected)
-        churn += before.count(pc) == 0 ? 1 : 0;
-    for (const PC pc : before)
+    for (const PC pc : after)
         churn += selected.count(pc) == 0 ? 1 : 0;
+    for (const PC pc : selected)
+        churn += after.count(pc) == 0 ? 1 : 0;
+    selected = std::move(after);
     churnCount += churn;
+    // Every set's cached selection bits go stale at once; each set
+    // re-derives them on its next touch.
+    if (churn != 0)
+        ++selGeneration;
 
     if (obs::Tracer::active()) {
         obs::Tracer &tracer = obs::Tracer::instance();
@@ -370,54 +340,49 @@ NUcachePolicy::runSelection()
 bool
 NUcachePolicy::inDeliWays(std::uint32_t set, std::uint32_t way) const
 {
-    return meta[slot(set, way)].region == Region::Deli;
+    return ((masks[set].deli >> way) & 1) != 0;
 }
 
 bool
 NUcachePolicy::checkInvariants(const SetView &set, std::string &why) const
 {
-    std::uint32_t main_n = 0, deli_n = 0, valid_n = 0;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (!set.line(w).valid)
-            continue;
-        ++valid_n;
-        const LineMeta &m = meta[slot(set.setIndex(), w)];
-        if (m.region == Region::Main) {
-            ++main_n;
-            if (m.lastTouch == 0) {
-                why = "Main line in way " + std::to_string(w) +
-                      " has no recency stamp";
-                return false;
-            }
-        } else {
-            ++deli_n;
-            if (m.fifoSeq == 0 || m.fifoSeq > fifoCounter) {
-                why = "Deli line in way " + std::to_string(w) +
-                      " has FIFO stamp " + std::to_string(m.fifoSeq) +
-                      " outside (0, " + std::to_string(fifoCounter) +
-                      "]";
-                return false;
-            }
+    const SetMasks &m = masks[set.setIndex()];
+    const std::uint64_t *row = &stamp[slot(set.setIndex(), 0)];
+    const std::uint64_t main = mainMask(set);
+    const std::uint64_t deli = set.validMask() & m.deli;
+    for (std::uint64_t v = set.validMask(); v != 0; v &= v - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(v));
+        const bool in_main = ((main >> w) & 1) != 0;
+        if (in_main && row[w] == 0) {
+            why = "Main line in way " + std::to_string(w) +
+                  " has no recency stamp";
+            return false;
+        }
+        if (!in_main && (row[w] == 0 || row[w] > fifoCounter)) {
+            why = "Deli line in way " + std::to_string(w) +
+                  " has FIFO stamp " + std::to_string(row[w]) +
+                  " outside (0, " + std::to_string(fifoCounter) + "]";
+            return false;
         }
         // Stamps must be distinct within their region, or the LRU
         // stack / FIFO order is ambiguous and victim choice diverges.
-        for (std::uint32_t v = w + 1; v < set.ways(); ++v) {
-            if (!set.line(v).valid)
-                continue;
-            const LineMeta &o = meta[slot(set.setIndex(), v)];
-            if (o.region != m.region)
-                continue;
-            const bool clash = m.region == Region::Main
-                ? o.lastTouch == m.lastTouch
-                : o.fifoSeq == m.fifoSeq;
-            if (clash) {
-                why = std::string(m.region == Region::Main
-                                      ? "Main recency"
-                                      : "Deli FIFO") +
+        const std::uint64_t peers = (in_main ? main : deli) & ~mask(w + 1);
+        for (std::uint64_t o = peers; o != 0; o &= o - 1) {
+            const auto p = static_cast<std::uint32_t>(std::countr_zero(o));
+            if (row[p] == row[w]) {
+                why = std::string(in_main ? "Main recency" : "Deli FIFO") +
                       " stamp shared by ways " + std::to_string(w) +
-                      " and " + std::to_string(v);
+                      " and " + std::to_string(p);
                 return false;
             }
+        }
+        // A set already refreshed to this generation must agree with
+        // the admission list it caches.
+        if (m.selGen == selGeneration &&
+            (((m.sel >> w) & 1) != 0) != isSelected(set.line(w).pc)) {
+            why = "cached selection bit of way " + std::to_string(w) +
+                  " disagrees with the admission list";
+            return false;
         }
     }
     // The occupancy bounds are meaningful only while the split is
@@ -425,6 +390,8 @@ NUcachePolicy::checkInvariants(const SetView &set, std::string &why) const
     // sets re-converge lazily.
     if (cfg.adaptiveDeli)
         return true;
+    const auto main_n = static_cast<std::uint32_t>(std::popcount(main));
+    const auto deli_n = static_cast<std::uint32_t>(std::popcount(deli));
     if (main_n > mainWays()) {
         why = std::to_string(main_n) + " MainWays lines exceed the " +
               std::to_string(mainWays()) + "-way bound (W - D)";
@@ -436,7 +403,7 @@ NUcachePolicy::checkInvariants(const SetView &set, std::string &why) const
         return false;
     }
     // A full set must use all MainWays (fills always land there).
-    if (valid_n == set.ways() && main_n != mainWays()) {
+    if (main_n + deli_n == set.ways() && main_n != mainWays()) {
         why = "full set holds " + std::to_string(main_n) +
               " MainWays lines, expected " + std::to_string(mainWays());
         return false;

@@ -13,9 +13,25 @@
  *
  * Implementation notes (metadata-only moves):
  *  - Lines never change ways; "MainWays"/"DeliWays" are per-line
- *    region labels.  The invariant |Main| <= W - D is restored after
- *    every fill/promotion by demoting the Main-LRU line to the
- *    DeliWays with a fresh FIFO stamp.
+ *    region labels held as one bit per way in a per-set `deli` mask
+ *    (a clear bit means Main).  The invariant |Main| <= W - D is
+ *    restored after every fill/promotion by demoting the Main-LRU
+ *    line to the DeliWays with a fresh FIFO stamp.
+ *  - One stamp column (sets x ways) serves both regions: a Main line
+ *    holds its recency tick, a Deli line its FIFO sequence number.  A
+ *    line never needs both — demotion writes a FIFO stamp, promotion
+ *    and fill write a tick — so the LRU, FIFO-oldest and stale picks
+ *    are one walk, oldestIn(), over the ways of a mask.
+ *  - A per-set `sel` mask caches "the allocating PC is selected" per
+ *    way.  It is tagged with the selection generation, which
+ *    runSelection() bumps only when the selected set changed; a set
+ *    whose tag is behind re-derives its bits on its next victim, hit
+ *    or fill, and onFill sets its own way's bit from the access PC.
+ *    The hit and victim paths therefore test bits, not a hash set.
+ *  - Cache::invalidate() drops lines without consulting the policy,
+ *    so the mask bits of invalid ways are stale: every mask read is
+ *    ANDed with the set's valid mask, and onFill rewrites a refilled
+ *    way's bits and stamp.
  *  - A demotion caused by a DeliWay-hit promotion is unconditional
  *    (it is a swap; evicting mid-hit would leave a hole).  Demotions
  *    of non-selected blocks on the miss path never occur when the set
@@ -133,15 +149,15 @@ class NUcachePolicy : public ReplacementPolicy
     void runSelection();
 
   private:
-    enum class Region : std::uint8_t { Main, Deli };
-
-    struct LineMeta
+    /** Region and selection bits of one set (bit w = way w). */
+    struct SetMasks
     {
-        Region region = Region::Main;
-        /** Recency stamp for the MainWays LRU stack. */
-        Tick lastTouch = 0;
-        /** Global FIFO stamp for DeliWays ordering. */
-        std::uint64_t fifoSeq = 0;
+        /** Set: the way's line is in the DeliWays; clear: MainWays. */
+        std::uint64_t deli = 0;
+        /** Set: the way's allocating PC is selected (see selGen). */
+        std::uint64_t sel = 0;
+        /** Selection generation `sel` was derived under. */
+        std::uint64_t selGen = 0;
     };
 
     std::size_t
@@ -150,20 +166,24 @@ class NUcachePolicy : public ReplacementPolicy
         return static_cast<std::size_t>(set) * context.numWays + way;
     }
 
-    /** @return way of the LRU valid MainWays line; ways() if none. */
-    std::uint32_t mainLruWay(const SetView &set) const;
-
-    /** @return way of the FIFO-oldest valid DeliWays line. */
-    std::uint32_t deliOldestWay(const SetView &set) const;
+    /** @return valid MainWays lines of @p set as a way mask. */
+    std::uint64_t
+    mainMask(const SetView &set) const
+    {
+        return set.validMask() & ~masks[set.setIndex()].deli;
+    }
 
     /**
-     * @return way of the FIFO-oldest DeliWays line whose allocating PC
-     * is not currently selected; ways() if none.
+     * @return the way in @p mask with the smallest stamp (the lowest
+     * way on a tie); ways() if @p mask is empty.
      */
-    std::uint32_t staleDeliWay(const SetView &set) const;
+    std::uint32_t oldestIn(const SetView &set, std::uint64_t mask) const;
 
-    /** @return count of valid lines labeled Main in @p set. */
-    std::uint32_t mainCount(const SetView &set) const;
+    /**
+     * @return @p set's masks with its `sel` bits brought up to the
+     * current selection generation.
+     */
+    SetMasks &freshMasks(const SetView &set);
 
     /** Demote Main-LRU lines until |Main| <= mainWays(). */
     void enforceMainBound(const SetView &set);
@@ -177,7 +197,11 @@ class NUcachePolicy : public ReplacementPolicy
     NextUseMonitorConfig effMonitor;
     std::uint64_t effEpochMisses = 100'000;
     std::uint32_t deliWays = 0;
-    std::vector<LineMeta> meta;
+    /** Main recency tick or Deli FIFO stamp per (set, way). */
+    std::vector<std::uint64_t> stamp;
+    std::vector<SetMasks> masks;
+    /** Bumped whenever the selected set changes. */
+    std::uint64_t selGeneration = 0;
     NextUseMonitor numon;
     std::unordered_set<PC> selected;
     /**

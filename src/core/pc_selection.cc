@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+
+#include "common/logging.hh"
 
 namespace nucache
 {
@@ -9,30 +12,31 @@ namespace nucache
 namespace
 {
 
+/** The candidate pool with each member's CDF built once per call. */
+struct Pool
+{
+    std::vector<PC> pcs;
+    /** DeliWays insertions each candidate imposes if selected. */
+    std::vector<std::uint64_t> inserts;
+    std::vector<std::optional<LogHistogramCdf>> nextUse;
+    /** The bucket layout every next-use histogram shares. */
+    const LogHistogram *layout = nullptr;
+};
+
 /**
- * Expected DeliWay hits if exactly the candidate indices in @p member
- * are selected.  Also reports the retention window via @p window_out.
+ * Expected DeliWay hits if exactly the candidates in @p members
+ * (ascending pool indices) with @p flip toggled are selected, given
+ * their summed insertions @p selected_inserts; pass a @p flip outside
+ * the pool to toggle none.  Members are summed in ascending index
+ * order whatever is toggled, so every flip's score is reproducible.
+ * Also reports the retention window via @p window_out.
  */
 double
-benefitOf(const std::vector<PcProfile> &candidates,
-          const std::vector<bool> &member, std::uint64_t capacity,
-          std::uint64_t total_misses, double &window_out)
+benefitOf(const Pool &pool, const std::vector<std::size_t> &members,
+          std::size_t flip, std::uint64_t selected_inserts,
+          std::uint64_t capacity, std::uint64_t total_misses,
+          double &window_out)
 {
-    // `member` covers only the candidate pool, which may be a prefix
-    // of `candidates`.
-    const std::size_t pool = member.size();
-
-    // The DeliWays drain one block per *insertion*, and a selected
-    // PC's insertion rate is its MainWays retirement rate (misses plus
-    // re-demotions after promotions).  Fall back to the miss count for
-    // PCs with no retirement history yet.
-    std::uint64_t selected_inserts = 0;
-    for (std::size_t i = 0; i < pool; ++i) {
-        if (member[i]) {
-            selected_inserts +=
-                std::max(candidates[i].retires, candidates[i].misses);
-        }
-    }
     if (selected_inserts == 0) {
         window_out = 0.0;
         return 0.0;
@@ -52,11 +56,28 @@ benefitOf(const std::vector<PcProfile> &candidates,
             ? std::numeric_limits<std::uint64_t>::max() / 2
             : static_cast<std::uint64_t>(window);
 
+    // One split serves every member: the histograms share a layout.
+    const LogHistogram::Split split =
+        pool.layout ? pool.layout->splitAt(limit) : LogHistogram::Split{};
     double hits = 0.0;
-    for (std::size_t i = 0; i < pool; ++i) {
-        if (member[i] && candidates[i].nextUse)
-            hits += candidates[i].nextUse->countAtOrBelow(limit);
+    const auto add = [&](std::size_t i) {
+        if (pool.nextUse[i])
+            hits += pool.nextUse[i]->at(split);
+    };
+    bool adding = flip < pool.pcs.size();
+    for (const std::size_t i : members) {
+        if (i == flip) {
+            adding = false;  // the flip removes this member
+            continue;
+        }
+        if (adding && flip < i) {
+            add(flip);
+            adding = false;
+        }
+        add(i);
     }
+    if (adding)
+        add(flip);
     return hits;
 }
 
@@ -76,28 +97,48 @@ selectDelinquentPcs(const std::vector<PcProfile> &candidates,
     }
 
     // Restrict to the candidate pool (callers pass profiles sorted by
-    // delinquency; enforce the cap defensively).
-    const std::size_t pool =
+    // delinquency; enforce the cap defensively).  The DeliWays drain
+    // one block per *insertion*, and a selected PC's insertion rate is
+    // its MainWays retirement rate (misses plus re-demotions after
+    // promotions).  Fall back to the miss count for PCs with no
+    // retirement history yet.
+    const std::size_t n =
         std::min<std::size_t>(candidates.size(), cfg.candidatePcs);
+    Pool pool;
+    for (std::size_t i = 0; i < n; ++i) {
+        const PcProfile &c = candidates[i];
+        pool.pcs.push_back(c.pc);
+        pool.inserts.push_back(std::max(c.retires, c.misses));
+        pool.nextUse.emplace_back();
+        if (c.nextUse == nullptr)
+            continue;
+        if (pool.layout == nullptr)
+            pool.layout = c.nextUse;
+        if (!c.nextUse->sameLayout(*pool.layout))
+            panic("PC selection: next-use histograms differ in layout");
+        pool.nextUse.back().emplace(*c.nextUse);
+    }
 
     // Warm-start from last epoch's selection: the DeliWays already
     // hold those PCs' blocks, so keeping a still-profitable selection
     // stable is worth more than an equal-benefit reshuffle (a dropped
     // PC's resident blocks turn stale and are reclaimed).
-    std::vector<bool> member(pool, false);
-    std::uint32_t chosen = 0;
-    for (std::size_t i = 0; i < pool; ++i) {
+    std::vector<bool> member(n, false);
+    std::vector<std::size_t> members;  // ascending
+    std::uint64_t inserts = 0;
+    for (std::size_t i = 0; i < n; ++i) {
         for (const PC pc : previous) {
-            if (candidates[i].pc == pc && chosen < cfg.maxSelected) {
+            if (pool.pcs[i] == pc && members.size() < cfg.maxSelected) {
                 member[i] = true;
-                ++chosen;
+                members.push_back(i);
+                inserts += pool.inserts[i];
                 break;
             }
         }
     }
 
     double best_window = 0.0;
-    double best_benefit = benefitOf(candidates, member,
+    double best_benefit = benefitOf(pool, members, n, inserts,
                                     deli_capacity_blocks, total_misses,
                                     best_window);
 
@@ -109,28 +150,36 @@ selectDelinquentPcs(const std::vector<PcProfile> &candidates,
     for (unsigned round = 0; round < 2 * cfg.maxSelected + 4; ++round) {
         double round_best = best_benefit;
         double round_window = best_window;
-        std::size_t round_flip = pool;
+        std::uint64_t round_inserts = inserts;
+        std::size_t round_flip = n;
 
-        for (std::size_t i = 0; i < pool; ++i) {
-            if (!member[i] && chosen >= cfg.maxSelected)
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!member[i] && members.size() >= cfg.maxSelected)
                 continue;
-            member[i] = !member[i];
+            const std::uint64_t trial = member[i] ? inserts - pool.inserts[i]
+                                                  : inserts + pool.inserts[i];
             double window = 0.0;
-            const double b = benefitOf(candidates, member,
+            const double b = benefitOf(pool, members, i, trial,
                                        deli_capacity_blocks,
                                        total_misses, window);
-            member[i] = !member[i];
             if (b > round_best) {
                 round_best = b;
                 round_window = window;
+                round_inserts = trial;
                 round_flip = i;
             }
         }
 
-        if (round_flip == pool)
+        if (round_flip == n)
             break;  // no strictly improving move
+        const auto at =
+            std::lower_bound(members.begin(), members.end(), round_flip);
+        if (member[round_flip])
+            members.erase(at);
+        else
+            members.insert(at, round_flip);
         member[round_flip] = !member[round_flip];
-        chosen += member[round_flip] ? 1 : -1;
+        inserts = round_inserts;
         best_benefit = round_best;
         best_window = round_window;
     }
@@ -146,10 +195,8 @@ selectDelinquentPcs(const std::vector<PcProfile> &candidates,
             return fresh;
     }
 
-    for (std::size_t i = 0; i < pool; ++i) {
-        if (member[i])
-            result.selected.push_back(candidates[i].pc);
-    }
+    for (const std::size_t i : members)
+        result.selected.push_back(pool.pcs[i]);
     result.expectedHits = best_benefit;
     result.window = best_window;
     return result;

@@ -24,7 +24,9 @@
  * submodular; we use greedy ascent over the top-k delinquent PCs with
  * full window recomputation per step, which recovers the optimum for
  * the homogeneous-loop structure that dominates in practice and is
- * cheap enough for hardware firmware (k^2 histogram scans per epoch).
+ * cheap enough for hardware firmware: each candidate's cumulative
+ * histogram is built once per run and the insertion sum is kept
+ * incrementally, so a flip costs one O(1) CDF probe per member.
  */
 
 #ifndef NUCACHE_CORE_PC_SELECTION_HH

@@ -375,52 +375,11 @@ deliHitsPerAccess(const std::vector<CoreState> &cores,
     if (totalMissPerCycle <= 0.0 || deli_blocks <= 0.0)
         return perAccess;
 
-    /**
-     * Flattened monotone CDF of a next-use histogram, matching
-     * LogHistogram::countAtOrBelow() bucket-for-bucket but answering
-     * by binary search: the greedy selection below probes each
-     * candidate's CDF hundreds of times per call, every round.
-     */
-    struct CdfView
-    {
-        std::vector<double> lo, hi, cumBefore, cnt;
-
-        explicit CdfView(const LogHistogram &h)
-        {
-            double cum = 0.0;
-            for (unsigned b = 0; b < h.numBuckets(); ++b) {
-                if (h.count(b) == 0)
-                    continue;
-                lo.push_back(static_cast<double>(h.bucketLow(b)));
-                hi.push_back(static_cast<double>(h.bucketHigh(b)));
-                cumBefore.push_back(cum);
-                cnt.push_back(static_cast<double>(h.count(b)));
-                cum += cnt.back();
-            }
-        }
-
-        double
-        countAtOrBelow(double limit) const
-        {
-            // Buckets are contiguous, so only the last bucket whose
-            // low edge is at or below the limit can be partial.
-            const std::size_t k = static_cast<std::size_t>(
-                std::upper_bound(lo.begin(), lo.end(), limit) -
-                lo.begin());
-            if (k == 0)
-                return 0.0;
-            const std::size_t b = k - 1;
-            if (hi[b] <= limit + 1.0)
-                return cumBefore[b] + cnt[b];
-            return cumBefore[b] +
-                   cnt[b] * (limit - lo[b] + 1.0) / (hi[b] - lo[b]);
-        }
-    };
-
     struct Candidate
     {
         std::size_t core = 0;
-        CdfView nextUse;
+        /** Probed once per greedy step, for every member. */
+        LogHistogramCdf nextUse;
         /** DeliWays insertions per mix miss if selected. */
         double insRate = 0.0;
         /** Pass-miss distance units per mix miss. */
@@ -476,9 +435,8 @@ deliHitsPerAccess(const std::vector<CoreState> &cores,
         const double window = deli_blocks / ins_sum;
         double total = 0.0;
         auto benefit = [&](const Candidate &c) {
-            return c.nextUse.countAtOrBelow(
-                       static_cast<double>(static_cast<std::uint64_t>(
-                           window * c.conv))) *
+            return c.nextUse.atOrBelow(static_cast<std::uint64_t>(
+                       window * c.conv)) *
                    c.benefitScale;
         };
         for (const std::size_t s : selected)
@@ -513,8 +471,8 @@ deliHitsPerAccess(const std::vector<CoreState> &cores,
     for (const std::size_t s : selected) {
         const Candidate &c = candidates[s];
         const double perMixMiss =
-            c.nextUse.countAtOrBelow(static_cast<double>(
-                static_cast<std::uint64_t>(window * c.conv))) *
+            c.nextUse.atOrBelow(
+                static_cast<std::uint64_t>(window * c.conv)) *
             c.benefitScale;
         // Hits per mix miss -> hits per own access.
         const double a =

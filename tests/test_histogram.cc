@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the log-linear and linear histograms, including the
- * bucket-boundary algebra the Next-Use monitor depends on.
+ * Tests for the log-linear histogram, including the bucket-boundary
+ * algebra the Next-Use monitor depends on, and its cumulative view.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <vector>
+
 #include "common/histogram.hh"
+#include "common/rng.hh"
 
 namespace nucache
 {
@@ -91,6 +96,53 @@ TEST(LogHistogram, CountAtOrBelowWholeAndFractionalBuckets)
     EXPECT_NEAR(h.countAtOrBelow(10), 50.0, 1e-9);
 }
 
+/**
+ * The cumulative view answers exactly what countAtOrBelow() answers,
+ * bit for bit, on random histograms at every bucket edge, inside the
+ * buckets, past the covered range and at the selection's UINT64_MAX/2
+ * saturation limit.
+ */
+TEST(LogHistogramCdf, BitIdenticalToCountAtOrBelow)
+{
+    Rng rng(2011);
+    for (int trial = 0; trial < 40; ++trial) {
+        const unsigned sub_bits = static_cast<unsigned>(rng.below(4));
+        const unsigned max_log2 =
+            sub_bits + 1 + static_cast<unsigned>(rng.below(30));
+        LogHistogram h(max_log2, sub_bits);
+        const int adds = static_cast<int>(rng.below(200));
+        for (int i = 0; i < adds; ++i) {
+            const std::uint64_t value =
+                rng.below(std::uint64_t{1} << (1 + rng.below(max_log2 + 2)));
+            h.add(value, 1 + rng.below(1000));
+        }
+        const LogHistogramCdf cdf(h);
+
+        std::vector<std::uint64_t> limits = {
+            0, std::numeric_limits<std::uint64_t>::max() / 2};
+        const unsigned last = h.numBuckets() - 1;
+        for (unsigned b = 0; b < h.numBuckets(); ++b) {
+            const std::uint64_t lo = h.bucketLow(b);
+            const std::uint64_t hi = h.bucketHigh(b);
+            limits.insert(limits.end(), {lo, hi - 1, hi});
+            if (hi - lo > 2)
+                limits.push_back(lo + 1 + rng.below(hi - lo - 2));
+        }
+        for (std::uint64_t past = 1; past <= 1000; past *= 10)
+            limits.push_back(h.bucketHigh(last) + past);
+        limits.push_back(h.bucketHigh(last) * 3);
+
+        for (const std::uint64_t limit : limits) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(cdf.atOrBelow(limit)),
+                      std::bit_cast<std::uint64_t>(
+                          h.countAtOrBelow(limit)))
+                << "trial " << trial << " limit " << limit << " ("
+                << cdf.atOrBelow(limit) << " vs "
+                << h.countAtOrBelow(limit) << ")";
+        }
+    }
+}
+
 TEST(LogHistogram, DecayHalvesCounts)
 {
     LogHistogram h(32, 2);
@@ -141,50 +193,6 @@ TEST_P(LogHistogramSubBits, BoundsStayConsistent)
 
 INSTANTIATE_TEST_SUITE_P(Resolutions, LogHistogramSubBits,
                          ::testing::Values(0u, 1u, 2u, 3u, 4u));
-
-TEST(LinearHistogram, BucketsAndSaturation)
-{
-    LinearHistogram h(10, 5);
-    h.add(0);
-    h.add(9);
-    h.add(10);
-    h.add(49);
-    h.add(1000);  // saturates into bucket 4
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(1), 1u);
-    EXPECT_EQ(h.count(4), 2u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(LinearHistogram, MeanUsesBucketMidpoints)
-{
-    LinearHistogram h(10, 10);
-    h.add(5, 4);  // bucket 0, midpoint 5
-    EXPECT_DOUBLE_EQ(h.mean(), 5.0);
-    h.add(15, 4);  // bucket 1, midpoint 15
-    EXPECT_DOUBLE_EQ(h.mean(), 10.0);
-}
-
-TEST(LinearHistogram, Quantile)
-{
-    LinearHistogram h(10, 10);
-    for (int i = 0; i < 90; ++i)
-        h.add(5);
-    for (int i = 0; i < 10; ++i)
-        h.add(95);
-    EXPECT_EQ(h.quantile(0.5), 10u);
-    EXPECT_EQ(h.quantile(0.95), 100u);
-}
-
-TEST(LinearHistogram, DecayAndClear)
-{
-    LinearHistogram h(10, 4);
-    h.add(5, 8);
-    h.decay();
-    EXPECT_EQ(h.total(), 4u);
-    h.clear();
-    EXPECT_EQ(h.total(), 0u);
-}
 
 } // anonymous namespace
 } // namespace nucache

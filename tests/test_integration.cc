@@ -186,7 +186,11 @@ serialRunDigest(const std::string &policy, const std::string &shape)
  * across the hierarchy variants.  A change to the access path or the
  * tag store that moves any counter of any cache changes a digest.
  * The defended rows coincide: re-keying every 5000 accesses flushes
- * the 4096-line LLC too often for any victim choice to show.
+ * the 4096-line LLC too often for any victim choice to show.  The
+ * nucache-all and nucache-none rows carry their shape's lru digest on
+ * purpose: admitting everything or nothing makes NUcache bit-identical
+ * to LRU under any parameters (NUcacheLruIdentity), so these rows pin
+ * that identity end to end.
  */
 TEST(SerialGolden, StatsDigestsArePinned)
 {
@@ -204,6 +208,11 @@ TEST(SerialGolden, StatsDigestsArePinned)
         {"default", "pipp", "46be3f766f88545e"},
         {"default", "nucache", "e3c43f6085bbab1d"},
         {"default", "nucache:epoch=2000", "cfb2ce7951c993d1"},
+        {"default", "nucache-adaptive:epoch=2000", "eb3c6620e78515e1"},
+        {"default", "nucache-topk:epoch=2000", "a0f399e361ed7fad"},
+        {"default", "nucache:epoch=500,d=4,shift=0", "349ecee9af97bed7"},
+        {"default", "nucache-all:epoch=500,d=4,shift=0", "e3c43f6085bbab1d"},
+        {"default", "nucache-none:epoch=500,d=4,shift=0", "e3c43f6085bbab1d"},
         {"private-l2", "lru", "9c1af96279fc4536"},
         {"private-l2", "dip", "e15dfd1bb7c744c8"},
         {"private-l2", "tadip", "161d68f34beb7196"},
@@ -211,6 +220,13 @@ TEST(SerialGolden, StatsDigestsArePinned)
         {"private-l2", "pipp", "d8599c0f02da0ec3"},
         {"private-l2", "nucache", "9c1af96279fc4536"},
         {"private-l2", "nucache:epoch=2000", "647913fbe95b1545"},
+        {"private-l2", "nucache-adaptive:epoch=2000", "878b7bf7a5ab3bf0"},
+        {"private-l2", "nucache-topk:epoch=2000", "3cba7ca5e2db8f40"},
+        {"private-l2", "nucache:epoch=500,d=4,shift=0", "25ab7ff6ea62424f"},
+        {"private-l2", "nucache-all:epoch=500,d=4,shift=0",
+         "9c1af96279fc4536"},
+        {"private-l2", "nucache-none:epoch=500,d=4,shift=0",
+         "9c1af96279fc4536"},
         {"prefetch", "lru", "a520e9a77b62ee88"},
         {"prefetch", "dip", "88c626960adf98f7"},
         {"prefetch", "tadip", "d9cc7db1d3ce3e43"},
@@ -218,6 +234,11 @@ TEST(SerialGolden, StatsDigestsArePinned)
         {"prefetch", "pipp", "5b21d7406d34d0c3"},
         {"prefetch", "nucache", "a520e9a77b62ee88"},
         {"prefetch", "nucache:epoch=2000", "7dd131b88f171b6f"},
+        {"prefetch", "nucache-adaptive:epoch=2000", "b49c8b16a93fe671"},
+        {"prefetch", "nucache-topk:epoch=2000", "ff976a70f1ea4d2a"},
+        {"prefetch", "nucache:epoch=500,d=4,shift=0", "5b5eb96401f88000"},
+        {"prefetch", "nucache-all:epoch=500,d=4,shift=0", "a520e9a77b62ee88"},
+        {"prefetch", "nucache-none:epoch=500,d=4,shift=0", "a520e9a77b62ee88"},
         {"inclusive", "lru", "619ac7d5c619f2e4"},
         {"inclusive", "dip", "2261a97488a6fb30"},
         {"inclusive", "tadip", "6fb68a4944ebffb8"},
@@ -225,6 +246,12 @@ TEST(SerialGolden, StatsDigestsArePinned)
         {"inclusive", "pipp", "5bcded86cc1dfe8b"},
         {"inclusive", "nucache", "619ac7d5c619f2e4"},
         {"inclusive", "nucache:epoch=2000", "091c5f7ba5631a3b"},
+        {"inclusive", "nucache-adaptive:epoch=2000", "831521a5845ba4c1"},
+        {"inclusive", "nucache-topk:epoch=2000", "947a13dc9df3fbdb"},
+        {"inclusive", "nucache:epoch=500,d=4,shift=0", "e7f038c549abac2b"},
+        {"inclusive", "nucache-all:epoch=500,d=4,shift=0", "619ac7d5c619f2e4"},
+        {"inclusive", "nucache-none:epoch=500,d=4,shift=0",
+         "619ac7d5c619f2e4"},
         {"defended", "lru", "784ea6a0d75926f6"},
         {"defended", "dip", "784ea6a0d75926f6"},
         {"defended", "tadip", "784ea6a0d75926f6"},
@@ -232,14 +259,25 @@ TEST(SerialGolden, StatsDigestsArePinned)
         {"defended", "pipp", "784ea6a0d75926f6"},
         {"defended", "nucache", "784ea6a0d75926f6"},
         {"defended", "nucache:epoch=2000", "784ea6a0d75926f6"},
+        {"defended", "nucache-adaptive:epoch=2000", "784ea6a0d75926f6"},
+        {"defended", "nucache-topk:epoch=2000", "784ea6a0d75926f6"},
+        {"defended", "nucache:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
+        {"defended", "nucache-all:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
+        {"defended", "nucache-none:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
     };
     std::size_t checked = 0;
     for (const std::string shape :
          {"default", "private-l2", "prefetch", "inclusive", "defended"}) {
-        // Plus a NUcache whose short epoch lets PC selection and the
-        // DeliWays run inside these 12k-record windows.
+        // Plus NUcache variants whose short epochs let PC selection,
+        // the adaptive split and the DeliWays run inside these
+        // 12k-record windows.
         std::vector<std::string> policies = evaluationPolicySet();
-        policies.push_back("nucache:epoch=2000");
+        policies.insert(policies.end(),
+                        {"nucache:epoch=2000", "nucache-adaptive:epoch=2000",
+                         "nucache-topk:epoch=2000",
+                         "nucache:epoch=500,d=4,shift=0",
+                         "nucache-all:epoch=500,d=4,shift=0",
+                         "nucache-none:epoch=500,d=4,shift=0"});
         for (const std::string &policy : policies) {
             std::string want;
             for (const Row &row : rows) {

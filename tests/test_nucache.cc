@@ -375,6 +375,129 @@ TEST(NUcache, DeliHitWithIneligibleMainLruRefreshesLease)
         << checker.violations().front().what;
 }
 
+/**
+ * The stale-bit paths of the per-set masks: 2 sets x 8 ways (3 Main +
+ * 5 Deli) under hand-driven TopK selection, with the CacheChecker in
+ * Panic mode verifying every access.  Set 1 manufactures delinquency;
+ * set 0 is the set under test.
+ */
+class NUcacheStaleBits : public ::testing::Test
+{
+  protected:
+    static constexpr PC PC_A = 0x400000;
+    static constexpr PC PC_B = 0x500000;
+    static constexpr PC PC_C = 0x600000;
+
+    void
+    build(std::uint32_t topk)
+    {
+        NUcacheConfig ncfg =
+            testConfig(5, NUcacheConfig::Selection::TopK);
+        ncfg.topK = topk;
+        auto policy = std::make_unique<NUcachePolicy>(ncfg);
+        nu = policy.get();
+        cache = std::make_unique<Cache>(
+            CacheConfig{"n", 2ull * 8 * 64, 8, 64}, std::move(policy));
+        checker = std::make_unique<CacheChecker>(*cache);
+    }
+
+    /** @return address of the @p i-th block of set @p set. */
+    static Addr
+    block(std::uint32_t set, std::uint64_t i)
+    {
+        return (2 * i + set) * 64;
+    }
+
+    /** Miss @p n fresh blocks of @p pc in set 1, then reselect. */
+    void
+    delinquentThenSelect(PC pc, std::uint64_t n)
+    {
+        for (std::uint64_t i = 0; i < n; ++i)
+            cache->access(read(block(1, nextSet1Block++), pc));
+        nu->runSelection();
+    }
+
+    /** Fill set 0's ways 0..7 in order with one block per PC given. */
+    void
+    fillSet0(const std::vector<PC> &pcs)
+    {
+        for (std::uint64_t i = 0; i < pcs.size(); ++i)
+            ASSERT_FALSE(cache->access(read(block(0, i), pcs[i])).hit);
+        for (std::uint32_t w = 0; w < 8; ++w)
+            ASSERT_EQ(nu->inDeliWays(0, w), w < 5) << "way " << w;
+    }
+
+    void
+    TearDown() override
+    {
+        EXPECT_GT(checker->checksRun(), 0u);
+        EXPECT_TRUE(nu->checkSetInvariants(cache->viewSet(0)));
+        checker.reset();
+    }
+
+    std::unique_ptr<Cache> cache;
+    NUcachePolicy *nu = nullptr;
+    std::unique_ptr<CacheChecker> checker;
+    std::uint64_t nextSet1Block = 0;
+};
+
+TEST_F(NUcacheStaleBits, InvalidatedDeliWayRefillsAsMain)
+{
+    build(1);
+    delinquentThenSelect(PC_A, 40);
+    fillSet0({PC_A, PC_A, PC_A, PC_A, PC_A, PC_A, PC_A, PC_A});
+
+    // Way 2 leaves through the cache, not the policy: its Deli and
+    // selected bits stay behind for the refill to overwrite.
+    ASSERT_TRUE(cache->invalidate(block(0, 2)));
+    EXPECT_FALSE(cache->access(read(block(0, 8), PC_C)).hit);
+    EXPECT_TRUE(cache->probe(block(0, 8)));
+    EXPECT_FALSE(nu->inDeliWays(0, 2));
+    // Refilling made the set full again with a fourth Main line, so the
+    // Main-LRU (way 5) went to the DeliWays.
+    EXPECT_TRUE(nu->inDeliWays(0, 5));
+}
+
+TEST_F(NUcacheStaleBits, DroppedPcIsReclaimedFirstInAnUntouchedSet)
+{
+    build(1);
+    delinquentThenSelect(PC_A, 40);
+    // Deli FIFO: B, B, A, A, A (oldest first); Main: C, C, C.
+    fillSet0({PC_B, PC_B, PC_A, PC_A, PC_A, PC_C, PC_C, PC_C});
+
+    // B overtakes A: the epoch drops A and admits B while set 0 sits
+    // untouched with bits cached under the old selection.
+    delinquentThenSelect(PC_B, 100);
+    ASSERT_EQ(nu->selectedPcs().size(), 1u);
+    ASSERT_TRUE(nu->selectedPcs().count(PC_B));
+
+    // A's FIFO-oldest line goes, not B's older lines nor the Main-LRU.
+    cache->access(read(block(0, 8), PC_C));
+    EXPECT_FALSE(cache->probe(block(0, 2)));
+    for (const std::uint64_t kept : {0, 1, 3, 4, 5, 6, 7})
+        EXPECT_TRUE(cache->probe(block(0, kept))) << "block " << kept;
+}
+
+TEST_F(NUcacheStaleBits, AddedPcMainLruSacrificesOldestDeli)
+{
+    build(2);
+    delinquentThenSelect(PC_A, 40);
+    ASSERT_EQ(nu->selectedPcs().size(), 1u);
+    // Deli FIFO: A x5; Main: B (LRU), C, C.
+    fillSet0({PC_A, PC_A, PC_A, PC_A, PC_A, PC_B, PC_C, PC_C});
+
+    delinquentThenSelect(PC_B, 100);
+    ASSERT_EQ(nu->selectedPcs().size(), 2u);
+    ASSERT_TRUE(nu->selectedPcs().count(PC_B));
+
+    // The Main-LRU's PC is now selected: it is retained (demoted) and
+    // the oldest DeliWays line is sacrificed instead.
+    cache->access(read(block(0, 8), PC_C));
+    EXPECT_FALSE(cache->probe(block(0, 0)));
+    EXPECT_TRUE(cache->probe(block(0, 5)));
+    EXPECT_TRUE(nu->inDeliWays(0, 5));
+}
+
 TEST(NUcache, NamesFollowMode)
 {
     EXPECT_EQ(NUcachePolicy(testConfig(4)).name(), "nucache");

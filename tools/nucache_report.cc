@@ -19,7 +19,8 @@
  *   nucache_report --diff OLD NEW [--threshold=0.05]
  *       Compare two BENCH_throughput.json snapshots cell by cell and
  *       fail (exit 2) when the LRU lookup throughput regressed by
- *       more than the threshold fraction.
+ *       more than the threshold fraction, or when NEW's nucache runs
+ *       below kMinNucacheLruRatio of its own lru at 1MiB-16w.
  *   --series=SUBSTR limits telemetry detail to matching labels.
  */
 
@@ -767,6 +768,14 @@ summarizeFiles(const std::vector<std::string> &paths,
 
 // ------------------------------------------------------------------ diff
 
+/**
+ * Floor on nucache's accesses/sec as a fraction of lru's at 1MiB-16w,
+ * both taken from the same bench run so the runner's speed cancels.
+ * The per-set mask hot path measures 0.46-0.62; the scan-based one it
+ * replaced measured 0.13, which this gate would fail.
+ */
+constexpr double kMinNucacheLruRatio = 0.30;
+
 /** @return section of @p doc with the given label, or nullptr. */
 const Json *
 findSection(const Json &doc, const std::string &label)
@@ -826,13 +835,38 @@ diffBench(const std::string &old_path, const std::string &new_path,
         std::cout << "\n";
     }
 
-    // The gate: LRU lookup throughput.
+    // Gate 1: NUcache's hot path relative to LRU's, within NEW.
+    int status = 0;
+    if (newTp != nullptr) {
+        double lru = 0.0, nu = 0.0;
+        for (const Json &c : newTp->at("cells").elements()) {
+            if (c.at("geometry").asString() != "1MiB-16w")
+                continue;
+            const std::string &policy = c.at("policy").asString();
+            if (policy == "lru")
+                lru = c.at("accesses_per_sec").asDouble();
+            else if (policy == "nucache")
+                nu = c.at("accesses_per_sec").asDouble();
+        }
+        if (lru > 0.0 && nu > 0.0) {
+            std::cout << "nucache/lru accesses/sec at 1MiB-16w: "
+                      << nu / lru << " (floor " << kMinNucacheLruRatio
+                      << ")\n";
+            if (nu / lru < kMinNucacheLruRatio) {
+                std::cout << "REGRESSION: nucache fell below the floor "
+                             "relative to lru\n";
+                status = 2;
+            }
+        }
+    }
+
+    // Gate 2: LRU lookup throughput.
     const Json *oldLook = findSection(oldDoc, "lru_lookup");
     const Json *newLook = findSection(newDoc, "lru_lookup");
     if (oldLook == nullptr || newLook == nullptr) {
         std::cout << "no lru_lookup section on both sides; "
                      "nothing to gate\n";
-        return 0;
+        return status;
     }
     const double ov = oldLook->at("lookups_per_sec").asDouble();
     const double nv = newLook->at("lookups_per_sec").asDouble();
@@ -846,8 +880,9 @@ diffBench(const std::string &old_path, const std::string &new_path,
                   << threshold * 100.0 << "%\n";
         return 2;
     }
-    std::cout << "OK\n";
-    return 0;
+    if (status == 0)
+        std::cout << "OK\n";
+    return status;
 }
 
 } // anonymous namespace
