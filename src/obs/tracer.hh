@@ -4,7 +4,7 @@
  *
  * Emits Chrome `trace_event` JSON (loadable in chrome://tracing and
  * Perfetto) for the coarse phases of a bench run: RunEngine grid
- * cells, run-alone baselines, trace-arena materialization, warmup vs
+ * cells, run-alone baselines, trace-arena extensions, warmup vs
  * measurement phases, and rare policy events such as NUcache epoch
  * rollovers.
  *

@@ -949,7 +949,7 @@ Server::statsJson() const
     s["slow_clients"] = slowClients.load();
     // Aggregate the per-shard service counters into one block (the
     // pre-sharding shape tools already parse); per-engine state like
-    // jobs and the process-global arena count come from shard 0.
+    // jobs and the process-global arena counts come from shard 0.
     // profiles_built is process-global too (the shared ProfileStore):
     // every shard reports the same store, so summing it would
     // overcount by the shard count.
@@ -965,7 +965,7 @@ Server::statsJson() const
         for (const auto &[key, value] : one.members()) {
             if (key == "jobs" || key == "default_records" ||
                 key == "arena_materializations" ||
-                key == "profiles_built")
+                key == "arena_records" || key == "profiles_built")
                 continue;
             if (value.isNumber())
                 agg[key] = agg.at(key).asUint() + value.asUint();

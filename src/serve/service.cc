@@ -601,6 +601,7 @@ SimulationService::statsJson() const
     s["alone_runs"] = alone;
     s["arena_materializations"] =
         TraceArena::instance().materializations();
+    s["arena_records"] = TraceArena::instance().recordsGenerated();
     s["jobs"] = cfg.jobs;
     s["default_records"] = cfg.defaultRecords;
     return s;

@@ -3,7 +3,7 @@
  * The simulation service behind nucached: executes validated
  * nucache-rpc/v1 run requests on shared RunEngines, so served
  * traffic gets the same reuse machinery the bench layer has —
- * arena-materialized workload traces, the memoized run-alone IPC
+ * shared arena workload traces, the memoized run-alone IPC
  * cache, and pool-parallel batch execution — plus a server-side
  * result cache that deterministic simulation makes sound (equal
  * request keys imply byte-equal results).

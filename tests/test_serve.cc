@@ -20,6 +20,7 @@
 #include "common/net.hh"
 #include "model/profile.hh"
 #include "serve/server.hh"
+#include "trace/arena.hh"
 
 namespace nucache
 {
@@ -149,7 +150,8 @@ TEST_F(ServeTest, AloneRunsAndArenaAreReusedAcrossRequests)
     TestClient client(server->port());
 
     // Two *uncached* runs of the same mix: the second must reuse the
-    // memoized run-alone baselines and the materialized arena traces.
+    // memoized run-alone baselines and the arena traces, generated
+    // no further than the first run read them.
     const char *uncached =
         R"({"op":"run_mix","params":{"mix":"mix2_01",)"
         R"("no_cache":true}})";
@@ -166,6 +168,9 @@ TEST_F(ServeTest, AloneRunsAndArenaAreReusedAcrossRequests)
               svc1.at("alone_runs").asUint());
     EXPECT_EQ(svc2.at("arena_materializations").asUint(),
               svc1.at("arena_materializations").asUint());
+    EXPECT_GT(svc1.at("arena_records").asUint(), 0u);
+    EXPECT_EQ(svc2.at("arena_records").asUint(),
+              svc1.at("arena_records").asUint());
 }
 
 TEST_F(ServeTest, TelemetryRequestAttachesDocument)
@@ -652,9 +657,10 @@ TEST_F(ServeTest, MetricsPrometheusFormat)
 
 TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
 {
-    // profiles_built comes from the process-global ProfileStore, so
-    // the per-shard aggregation must keep one copy instead of summing
-    // the same store once per shard.
+    // profiles_built comes from the process-global ProfileStore (and
+    // arena_records from the process-global TraceArena), so the
+    // per-shard aggregation must keep one copy instead of summing the
+    // same store once per shard.
     model::ProfileStore::instance().clear();
     serve::ServerConfig cfg = baseConfig();
     cfg.shards = 2;
@@ -676,6 +682,11 @@ TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
                   .at("profiles_built")
                   .asUint(),
               built);
+    const std::uint64_t records = TraceArena::instance().recordsGenerated();
+    ASSERT_GT(records, 0u);
+    EXPECT_EQ(
+        stats.at("result").at("service").at("arena_records").asUint(),
+        records);
 }
 
 TEST_F(ServeTest, NewRunsRejectedWhileShuttingDown)

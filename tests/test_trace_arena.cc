@@ -2,9 +2,11 @@
  * @file
  * Tests for the shared trace arena: cursor streams must be
  * record-for-record identical to the generators they replace
- * (including after reset()), and materialization must happen exactly
- * once per (workload, length) key no matter how many threads — or
- * RunEngine grid jobs — ask for it concurrently.
+ * (including across chunk boundaries and after reset()), each
+ * (workload, length) key must be reserved and generated exactly once
+ * no matter how many threads — or RunEngine grid jobs — read it
+ * concurrently, generation must stop at the deepest record read, and
+ * the 16-byte packed form must round-trip every value it admits.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "attack/attack.hh"
 #include "common/thread_pool.hh"
+#include "sim/experiment.hh"
 #include "sim/run_engine.hh"
 #include "trace/arena.hh"
 #include "trace/workloads.hh"
@@ -22,6 +26,17 @@ namespace nucache
 {
 namespace
 {
+
+/** Assert @p a and @p b hold the same record; @p label names it. */
+void
+expectSameRecord(const TraceRecord &a, const TraceRecord &b,
+                 const std::string &label)
+{
+    ASSERT_EQ(a.addr, b.addr) << label;
+    ASSERT_EQ(a.pc, b.pc) << label;
+    ASSERT_EQ(a.nonMemGap, b.nonMemGap) << label;
+    ASSERT_EQ(a.isWrite, b.isWrite) << label;
+}
 
 /** Compare two sources record-for-record until both are exhausted. */
 void
@@ -36,10 +51,8 @@ expectSameStream(TraceSource &a, TraceSource &b,
         ASSERT_EQ(more_a, more_b) << label << " length @" << i;
         if (!more_a)
             return;
-        ASSERT_EQ(ra.addr, rb.addr) << label << " @" << i;
-        ASSERT_EQ(ra.pc, rb.pc) << label << " @" << i;
-        ASSERT_EQ(ra.nonMemGap, rb.nonMemGap) << label << " @" << i;
-        ASSERT_EQ(ra.isWrite, rb.isWrite) << label << " @" << i;
+        ASSERT_NO_FATAL_FAILURE(
+            expectSameRecord(ra, rb, label + " @" + std::to_string(i)));
         ++i;
     }
 }
@@ -87,7 +100,7 @@ TEST(TraceArena, ConcurrentGetMaterializesOnce)
         ASSERT_TRUE(b);
         // Every caller got the same shared buffer, not a copy.
         EXPECT_EQ(b.get(), bufs.front().get());
-        EXPECT_EQ(b->size(), kLen);
+        EXPECT_EQ(b->length(), kLen);
     }
 }
 
@@ -113,6 +126,142 @@ TEST(TraceArena, EngineGridMaterializesOncePerWorkload)
 
     // Two distinct workloads across all 6 cells + 4 baseline runs.
     EXPECT_EQ(arena.materializations() - before, 2u);
+}
+
+/**
+ * Streams spanning several chunks match the generator across every
+ * chunk boundary, and a reset() after stopping mid-chunk replays the
+ * identical stream from the start.
+ */
+TEST(TraceArena, CursorMatchesGeneratorAcrossChunks)
+{
+    constexpr std::uint64_t kLen = 2 * TraceBuffer::chunkRecords + 17;
+    const std::vector<std::string> names = {"zipf_hot", "chase_big",
+                                            "attack:storm"};
+    for (const std::string &name : names) {
+        const TraceSourcePtr cur = TraceArena::instance().open(name, kLen);
+        TraceRecord rec;
+        for (std::uint64_t i = 0; i < TraceBuffer::chunkRecords + 100; ++i)
+            ASSERT_TRUE(cur->next(rec)) << name << " @" << i;
+        cur->reset();
+        const TraceSourcePtr gen = makeWorkload(name, kLen);
+        expectSameStream(*gen, *cur, name + "/after-reset");
+        gen->reset();
+        cur->reset();
+        expectSameStream(*gen, *cur, name + "/pass2");
+    }
+}
+
+/**
+ * Eight threads reading one cold key to staggered depths each see the
+ * generator's stream, and the records are generated exactly once.
+ */
+TEST(TraceArena, ConcurrentExtensionMatchesGenerator)
+{
+    TraceArena &arena = TraceArena::instance();
+    arena.clear();
+    const std::uint64_t built_before = arena.materializations();
+    const std::uint64_t records_before = arena.recordsGenerated();
+
+    constexpr std::uint64_t kLen = 3 * TraceBuffer::chunkRecords + 5;
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::uint64_t> mismatches(kThreads, 0);
+    std::vector<std::uint64_t> read(kThreads, 0);
+    ThreadPool pool(kThreads);
+    pool.parallelFor(kThreads, [&](std::size_t t) {
+        const std::uint64_t depth = kLen * (t + 1) / kThreads;
+        const TraceSourcePtr cur = arena.open("mix_rw", kLen);
+        const TraceSourcePtr gen = makeWorkload("mix_rw", kLen);
+        TraceRecord a, b;
+        while (read[t] < depth && cur->next(a)) {
+            gen->next(b);
+            if (a.addr != b.addr || a.pc != b.pc ||
+                a.nonMemGap != b.nonMemGap || a.isWrite != b.isWrite)
+                ++mismatches[t];
+            ++read[t];
+        }
+        if (read[t] == kLen && cur->next(a))
+            ++mismatches[t];
+    });
+
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+        EXPECT_EQ(read[t], kLen * (t + 1) / kThreads) << "thread " << t;
+    }
+    EXPECT_EQ(arena.materializations() - built_before, 1u);
+    EXPECT_EQ(arena.recordsGenerated() - records_before, kLen);
+}
+
+/** Reading a short prefix generates at most the chunk holding it. */
+TEST(TraceArena, ShortReadGeneratesOneChunk)
+{
+    TraceArena &arena = TraceArena::instance();
+    arena.clear();
+    const std::uint64_t before = arena.recordsGenerated();
+
+    const TraceArena::Buffer buf = arena.get("stream_pure");
+    EXPECT_EQ(arena.recordsGenerated(), before);
+    const TraceSourcePtr cur = arena.open("stream_pure");
+    TraceRecord rec;
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_TRUE(cur->next(rec));
+
+    EXPECT_LE(arena.recordsGenerated() - before,
+              TraceBuffer::chunkRecords);
+    EXPECT_GT(buf->length(), TraceBuffer::chunkRecords);
+}
+
+/**
+ * A short-window mix, baselines included, generates only a sliver of
+ * its workloads' full 2M-record passes.
+ */
+TEST(TraceArena, ShortRunMixGeneratesFewRecords)
+{
+    TraceArena &arena = TraceArena::instance();
+    arena.clear();
+    const std::uint64_t before = arena.recordsGenerated();
+
+    RunEngine engine(50000, 1);
+    const MixResult r = engine.runMix({"hot+ws", {"tiny_hot", "small_ws"}},
+                                      "lru", defaultHierarchy(2));
+    ASSERT_EQ(r.ipcAlone.size(), 2u);
+
+    const std::uint64_t full =
+        workloadSpec("tiny_hot").length + workloadSpec("small_ws").length;
+    const std::uint64_t generated = arena.recordsGenerated() - before;
+    EXPECT_GT(generated, 0u);
+    EXPECT_LT(generated, full / 8) << "of " << full;
+}
+
+TEST(PackedRecord, BoundaryValuesRoundTrip)
+{
+    TraceRecord widest;
+    widest.pc = kAttackProbePc;
+    widest.addr = (std::uint64_t{1} << packedAddrBits) - 1;
+    widest.nonMemGap = (1u << packedGapBits) - 1;
+    widest.isWrite = true;
+    TraceRecord zero;
+    TraceRecord read_side = widest;
+    read_side.isWrite = false;
+    TraceRecord full_pc = zero;
+    full_pc.pc = invalidPC;
+    for (const TraceRecord &rec : {widest, zero, read_side, full_pc}) {
+        const PackedRecord p = packRecord(rec, "boundary", 0);
+        ASSERT_NO_FATAL_FAILURE(
+            expectSameRecord(unpackRecord(p), rec, "round trip"));
+    }
+}
+
+TEST(PackedRecordDeathTest, OutOfRangeFieldPanicsWithWorkloadName)
+{
+    TraceRecord far;
+    far.addr = std::uint64_t{1} << packedAddrBits;
+    EXPECT_DEATH(packRecord(far, "far_addr_wl", 7),
+                 "far_addr_wl' record 7");
+    TraceRecord slow;
+    slow.nonMemGap = 1u << packedGapBits;
+    EXPECT_DEATH(packRecord(slow, "long_gap_wl", 9),
+                 "long_gap_wl' record 9");
 }
 
 } // anonymous namespace
