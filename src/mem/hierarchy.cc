@@ -6,6 +6,66 @@
 namespace nucache
 {
 
+PrivateLevels::PrivateLevels(const HierarchyConfig &config, CoreId core,
+                             std::uint32_t num_cores)
+{
+    CacheConfig l1cfg = config.l1;
+    l1cfg.name = "l1." + std::to_string(core);
+    l1Cache = std::make_unique<Cache>(l1cfg, std::make_unique<LruPolicy>(),
+                                      num_cores);
+    if (config.enableL2) {
+        CacheConfig l2cfg = config.l2;
+        l2cfg.name = "l2." + std::to_string(core);
+        l2Cache = std::make_unique<Cache>(
+            l2cfg, std::make_unique<LruPolicy>(), num_cores);
+    }
+}
+
+PrivateOutcome
+PrivateLevels::access(const AccessInfo &info)
+{
+    PrivateOutcome out;
+    const Cache::Result l1res = l1Cache->access(info);
+    // A dirty L1 victim drains to the next level down: the private L2
+    // absorbs it if it holds the block, else it spills to the LLC.
+    out.l1Spill = l1res.writeback &&
+        (!l2Cache || !l2Cache->writebackUpdate(l1res.writebackAddr));
+    out.l1SpillAddr = out.l1Spill ? l1res.writebackAddr : 0;
+    if (l1res.hit) {
+        out.level = PrivateOutcome::Level::L1;
+        return out;
+    }
+    if (l2Cache) {
+        const Cache::Result l2res = l2Cache->access(info);
+        out.l2Spill = l2res.writeback;
+        out.l2SpillAddr = l2res.writeback ? l2res.writebackAddr : 0;
+        if (l2res.hit)
+            out.level = PrivateOutcome::Level::L2;
+    }
+    return out;
+}
+
+bool
+privateOutcomesLoggable(const HierarchyConfig &config)
+{
+    return !config.inclusive &&
+        !parseIndexDefense(config.l1.defense).enabled() &&
+        (!config.enableL2 || !parseIndexDefense(config.l2.defense).enabled());
+}
+
+std::string
+privateLevelsKey(const HierarchyConfig &config)
+{
+    const auto geometry = [](const CacheConfig &c) {
+        return std::to_string(c.sizeBytes) + "/" + std::to_string(c.ways) +
+            "/" + std::to_string(c.blockSize);
+    };
+    std::string key = "l1:" + geometry(config.l1);
+    if (config.enableL2)
+        key += ",l2:" + geometry(config.l2);
+    return key;
+}
+
 MemoryHierarchy::MemoryHierarchy(
     const HierarchyConfig &config,
     std::unique_ptr<ReplacementPolicy> llc_policy)
@@ -13,19 +73,10 @@ MemoryHierarchy::MemoryHierarchy(
 {
     if (cfg.numCores == 0)
         fatal("hierarchy needs at least one core");
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        CacheConfig l1cfg = cfg.l1;
-        l1cfg.name = "l1." + std::to_string(c);
-        // The L1 is private: it sees exactly one core.
-        l1Caches.push_back(std::make_unique<Cache>(
-            l1cfg, std::make_unique<LruPolicy>(), cfg.numCores));
-        if (cfg.enableL2) {
-            CacheConfig l2cfg = cfg.l2;
-            l2cfg.name = "l2." + std::to_string(c);
-            l2Caches.push_back(std::make_unique<Cache>(
-                l2cfg, std::make_unique<LruPolicy>(), cfg.numCores));
-        }
-    }
+    // The private levels see exactly one core each.
+    privates.reserve(cfg.numCores);
+    for (std::uint32_t c = 0; c < cfg.numCores; ++c)
+        privates.emplace_back(cfg, c, cfg.numCores);
     llcCache = std::make_unique<Cache>(cfg.llc, std::move(llc_policy),
                                        cfg.numCores);
     if (cfg.prefetch.enabled) {
@@ -48,29 +99,26 @@ MemoryHierarchy::access(CoreId core, Addr addr, PC pc, bool is_write,
     info.pc = pc;
     info.coreId = core;
     info.isWrite = is_write;
+    return accessShared(info, privates[core].access(info), now);
+}
 
-    Cycles latency = cfg.l1Latency;
-    const Cache::Result l1res = l1Caches[core]->access(info);
-    Cache *l2 = l2Caches.empty() ? nullptr : l2Caches[core].get();
-    // A dirty L1 victim drains to the next level down: the private L2
-    // absorbs it if it holds the block, else it spills to the LLC.
-    bool l1_spill = l1res.writeback;
-    if (l1_spill && l2 != nullptr)
-        l1_spill = !l2->writebackUpdate(l1res.writebackAddr);
-
-    Cache::Result l2res;
-    if (!l1res.hit && l2 != nullptr) {
-        latency += cfg.l2Latency;
-        l2res = l2->access(info);
-    }
-
+Cycles
+MemoryHierarchy::accessShared(const AccessInfo &info,
+                              const PrivateOutcome &priv, Cycles now)
+{
     // Spills in level order: L1 spills carry the L1 hit latency, L2
     // spills the L1+L2 depth.
-    if (l1_spill && !llcCache->writebackUpdate(l1res.writebackAddr))
+    if (priv.l1Spill && !llcCache->writebackUpdate(priv.l1SpillAddr))
         dramModel.write(now + cfg.l1Latency);
-    if (l2res.writeback && !llcCache->writebackUpdate(l2res.writebackAddr))
+    if (priv.l2Spill && !llcCache->writebackUpdate(priv.l2SpillAddr))
         dramModel.write(now + cfg.l1Latency + cfg.l2Latency);
-    if (l1res.hit || l2res.hit)
+
+    Cycles latency = cfg.l1Latency;
+    if (priv.level == PrivateOutcome::Level::L1)
+        return latency;
+    if (cfg.enableL2)
+        latency += cfg.l2Latency;
+    if (priv.level == PrivateOutcome::Level::L2)
         return latency;
 
     latency += cfg.llcLatency;
@@ -85,7 +133,7 @@ MemoryHierarchy::access(CoreId core, Addr addr, PC pc, bool is_write,
     // overlapped, the standard trace-simulator simplification).
     if (!prefetchers.empty()) {
         prefetchQueue.clear();
-        prefetchers[core]->train(info.pc, info.addr, prefetchQueue);
+        prefetchers[info.coreId]->train(info.pc, info.addr, prefetchQueue);
         for (const Addr pf_addr : prefetchQueue) {
             AccessInfo pf = info;
             pf.addr = pf_addr;
@@ -112,10 +160,10 @@ MemoryHierarchy::backInvalidate(Addr addr)
     // Inclusion enforcement: purge the evicted block from every
     // private level (any dirty private copy is conservatively treated
     // as written back by the LLC's own writeback).
-    for (std::uint32_t c = 0; c < cfg.numCores; ++c) {
-        if (l1Caches[c]->invalidate(addr))
+    for (PrivateLevels &p : privates) {
+        if (p.l1().invalidate(addr))
             ++backInvalidated;
-        if (!l2Caches.empty() && l2Caches[c]->invalidate(addr))
+        if (p.l2() != nullptr && p.l2()->invalidate(addr))
             ++backInvalidated;
     }
 }

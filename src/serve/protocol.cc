@@ -202,8 +202,11 @@ parseRunParams(const Json &params, Request &out, std::string &err)
     }
 
     // The final geometry must satisfy the constraints Cache's
-    // constructor enforces with fatal(); reject here instead.
-    return validGeometry(requestHierarchy(out), err);
+    // constructor and the policy's init() enforce with fatal();
+    // reject here instead.
+    const HierarchyConfig hier = requestHierarchy(out);
+    return validGeometry(hier, err) &&
+        validatePolicyForLlc(out.policy, hier.llc.ways, hier.numCores, err);
 }
 
 bool

@@ -965,7 +965,8 @@ Server::statsJson() const
         for (const auto &[key, value] : one.members()) {
             if (key == "jobs" || key == "default_records" ||
                 key == "arena_materializations" ||
-                key == "arena_records" || key == "profiles_built")
+                key == "arena_records" || key == "private_records" ||
+                key == "profiles_built")
                 continue;
             if (value.isNumber())
                 agg[key] = agg.at(key).asUint() + value.asUint();

@@ -602,6 +602,7 @@ SimulationService::statsJson() const
     s["arena_materializations"] =
         TraceArena::instance().materializations();
     s["arena_records"] = TraceArena::instance().recordsGenerated();
+    s["private_records"] = TraceArena::instance().privateRecordsGenerated();
     s["jobs"] = cfg.jobs;
     s["default_records"] = cfg.defaultRecords;
     return s;

@@ -17,8 +17,10 @@
 #define NUCACHE_SIM_CPU_HH
 
 #include <memory>
+#include <optional>
 
 #include "mem/hierarchy.hh"
+#include "trace/arena.hh"
 #include "trace/trace.hh"
 
 namespace nucache
@@ -34,9 +36,15 @@ class TraceCpu
      * @param hierarchy shared memory hierarchy (not owned).
      * @param target_records records after which stats freeze; the core
      *        keeps running (wrapping its trace) to maintain pressure.
+     * @param log_private_levels replay the private levels' outcomes
+     *        from the trace's shared PrivateLog instead of simulating
+     *        the hierarchy's private caches.  Taken only when
+     *        @p source is an ArenaCursor; the caller must have checked
+     *        privateOutcomesLoggable().
      */
     TraceCpu(CoreId core, TraceSourcePtr source,
-             MemoryHierarchy *hierarchy, std::uint64_t target_records);
+             MemoryHierarchy *hierarchy, std::uint64_t target_records,
+             bool log_private_levels = false);
 
     /** Replay one record (wraps the trace when exhausted). */
     void step();
@@ -68,6 +76,12 @@ class TraceCpu
     /** @return the workload name. */
     const std::string &workloadName() const { return trace->name(); }
 
+    /**
+     * @return this core's L1 demand statistics at the record reached,
+     * from the log or from the live L1, whichever the core used.
+     */
+    CacheCoreStats l1Stats() const;
+
   private:
     CoreId coreId;
     TraceSourcePtr trace;
@@ -85,6 +99,9 @@ class TraceCpu
     Addr addrOffset;
     /** Per-core tag separating workloads' PC spaces. */
     PC pcTag;
+
+    /** Present iff the private levels replay from a log. */
+    std::optional<PrivateLogCursor> privateLog;
 };
 
 } // namespace nucache

@@ -184,9 +184,36 @@ validatePolicySpec(const std::string &spec, std::string &err)
             err = "policy spec '" + spec + "': bad value '" + value + "'";
             return false;
         }
+        if (item.substr(0, eq) == "epoch" && std::stoull(value) == 0) {
+            err = "policy spec '" + spec + "': 'epoch' must be positive";
+            return false;
+        }
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
+    }
+    return true;
+}
+
+bool
+validatePolicyForLlc(const std::string &spec, std::uint32_t llc_ways,
+                     std::uint32_t cores, std::string &err)
+{
+    const auto [name, opts] = parseSpec(spec);
+    if (name.rfind("nucache", 0) == 0) {
+        const std::uint64_t deli = intOpt(opts, "d", 0);
+        if (deli >= llc_ways) {
+            err = "policy spec '" + spec + "': d=" + std::to_string(deli) +
+                  " DeliWays leave no MainWay in a " +
+                  std::to_string(llc_ways) + "-way LLC";
+            return false;
+        }
+    }
+    if ((name == "ucp" || name == "pipp") && llc_ways < cores) {
+        err = "policy '" + name + "' needs at least one LLC way per core (" +
+              std::to_string(llc_ways) + " ways, " + std::to_string(cores) +
+              " cores)";
+        return false;
     }
     return true;
 }

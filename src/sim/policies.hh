@@ -29,14 +29,26 @@ std::unique_ptr<ReplacementPolicy> makePolicy(const std::string &spec);
 
 /**
  * Validate @p spec without ever exiting the process: the base name
- * must be a recognized policy and every option must be "key=digits"
- * with a value that fits in 64 bits.  A spec that passes is safe to
- * hand to makePolicy() from a server that must not fatal() on
- * untrusted input.
+ * must be a recognized policy, every option must be "key=digits"
+ * with a value that fits in 64 bits, and an epoch length must be
+ * non-zero.  A spec that passes, and that validatePolicyForLlc()
+ * accepts for the run's LLC, is safe to hand to makePolicy() from a
+ * server that must not fatal() on untrusted input.
  * @param err on failure, filled with what was wrong.
  * @return whether @p spec is well-formed.
  */
 bool validatePolicySpec(const std::string &spec, std::string &err);
+
+/**
+ * The geometry-dependent half of validation, for a spec that passed
+ * validatePolicySpec(): NUcache's DeliWays must leave a MainWay, and
+ * the partitioning policies (ucp, pipp) need a way per core.
+ * @param llc_ways associativity of the run's resolved LLC.
+ * @param cores cores sharing it.
+ * @return whether @p spec fits that LLC; err says why not.
+ */
+bool validatePolicyForLlc(const std::string &spec, std::uint32_t llc_ways,
+                          std::uint32_t cores, std::string &err);
 
 /** @return the specs the evaluation compares (paper's Figure 4-6 set). */
 const std::vector<std::string> &evaluationPolicySet();

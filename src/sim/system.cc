@@ -33,9 +33,15 @@ System::System(const HierarchyConfig &hier_config,
             }
         }
     }
+    // Private outcomes come from the shared per-trace log unless the
+    // live private caches are needed: inclusion back-invalidates them,
+    // and the checker audits them.
+    const bool log_private =
+        !check_invariants && privateOutcomesLoggable(hier_config);
     for (std::uint32_t c = 0; c < hier_config.numCores; ++c) {
         cpus.push_back(std::make_unique<TraceCpu>(
-            c, std::move(traces[c]), hier.get(), records_per_core));
+            c, std::move(traces[c]), hier.get(), records_per_core,
+            log_private));
     }
     if (const std::uint64_t interval = obs::telemetryInterval();
         interval > 0) {
@@ -193,7 +199,7 @@ System::run()
         cr.ipc = cpu->ipc();
         cr.instructions = cpu->instructionsAtTarget();
         cr.cycles = cpu->cyclesAtTarget();
-        cr.l1 = hier->l1(cpu->id()).coreStats(cpu->id());
+        cr.l1 = cpu->l1Stats();
         cr.llc = hier->llc().coreStats(cpu->id());
         result.cores.push_back(std::move(cr));
     }
@@ -262,7 +268,7 @@ System::forEachStatGroup(
         emit(core);
 
         StatGroup l1("cpu" + std::to_string(cpu->id()) + ".l1");
-        fill_cache(l1, hier->l1(cpu->id()).coreStats(cpu->id()));
+        fill_cache(l1, cpu->l1Stats());
         emit(l1);
 
         StatGroup llc("cpu" + std::to_string(cpu->id()) + ".llc");

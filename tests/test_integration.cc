@@ -13,6 +13,7 @@
 #include "core/nucache.hh"
 #include "sim/run_engine.hh"
 #include "sim/policies.hh"
+#include "trace/arena.hh"
 #include "trace/workloads.hh"
 
 namespace nucache
@@ -146,14 +147,26 @@ fnv1aHex(const std::string &text)
     return buf;
 }
 
+/** One full-stats run of the serial engine. */
+struct SerialRun
+{
+    std::string digest;
+    SystemResult result;
+};
+
 /**
- * Digest of the full stats tree of one 4-core serial run.  @p shape
- * names the hierarchy variant: "default", "private-l2", "prefetch",
- * "inclusive", or "defended" (rand-dynamic index scrambling under an
- * attack-heavy mix).
+ * Run one 4-core serial system and digest its full stats tree.
+ * @p shape names the hierarchy variant: "default", "private-l2",
+ * "prefetch", "inclusive", or "defended" (rand-dynamic index
+ * scrambling under an attack-heavy mix).  With @p arena the cores
+ * replay arena cursors with the checker off, so their private levels
+ * come from the shared private-level log wherever the hierarchy
+ * allows it; otherwise they replay fresh generators through the live
+ * private caches.
  */
-std::string
-serialRunDigest(const std::string &policy, const std::string &shape)
+SerialRun
+serialRun(const std::string &policy, const std::string &shape,
+          bool arena = false)
 {
     HierarchyConfig hier = defaultHierarchy(4);
     hier.llc = CacheConfig{"llc", 256 << 10, 16, 64};
@@ -172,13 +185,18 @@ serialRunDigest(const std::string &policy, const std::string &shape)
                  "stream_pure"};
     }
     std::vector<TraceSourcePtr> traces;
-    for (const std::string &name : names)
-        traces.push_back(makeWorkload(name, 12000));
-    System sys(hier, makePolicy(policy), std::move(traces), 12000);
-    sys.run();
+    for (const std::string &name : names) {
+        traces.push_back(arena ? TraceArena::instance().open(name, 12000)
+                               : makeWorkload(name, 12000));
+    }
+    System sys(hier, makePolicy(policy), std::move(traces), 12000,
+               !arena && check::enabled());
+    SerialRun run;
+    run.result = sys.run();
     std::ostringstream os;
     sys.statsJson().dump(os);
-    return fnv1aHex(os.str());
+    run.digest = fnv1aHex(os.str());
+    return run;
 }
 
 /**
@@ -192,104 +210,165 @@ serialRunDigest(const std::string &policy, const std::string &shape)
  * to LRU under any parameters (NUcacheLruIdentity), so these rows pin
  * that identity end to end.
  */
+struct GoldenRow
+{
+    const char *shape;
+    const char *policy;
+    const char *digest;
+};
+const GoldenRow kGoldenRows[] = {
+    {"default", "lru", "e3c43f6085bbab1d"},
+    {"default", "dip", "ccdab174bd37f02f"},
+    {"default", "tadip", "e46ddc06e1865d13"},
+    {"default", "ucp", "af440037e09d8fce"},
+    {"default", "pipp", "46be3f766f88545e"},
+    {"default", "nucache", "e3c43f6085bbab1d"},
+    {"default", "nucache:epoch=2000", "cfb2ce7951c993d1"},
+    {"default", "nucache-adaptive:epoch=2000", "eb3c6620e78515e1"},
+    {"default", "nucache-topk:epoch=2000", "a0f399e361ed7fad"},
+    {"default", "nucache:epoch=500,d=4,shift=0", "349ecee9af97bed7"},
+    {"default", "nucache-all:epoch=500,d=4,shift=0", "e3c43f6085bbab1d"},
+    {"default", "nucache-none:epoch=500,d=4,shift=0", "e3c43f6085bbab1d"},
+    {"private-l2", "lru", "9c1af96279fc4536"},
+    {"private-l2", "dip", "e15dfd1bb7c744c8"},
+    {"private-l2", "tadip", "161d68f34beb7196"},
+    {"private-l2", "ucp", "a2de3bda8aa48e55"},
+    {"private-l2", "pipp", "d8599c0f02da0ec3"},
+    {"private-l2", "nucache", "9c1af96279fc4536"},
+    {"private-l2", "nucache:epoch=2000", "647913fbe95b1545"},
+    {"private-l2", "nucache-adaptive:epoch=2000", "878b7bf7a5ab3bf0"},
+    {"private-l2", "nucache-topk:epoch=2000", "3cba7ca5e2db8f40"},
+    {"private-l2", "nucache:epoch=500,d=4,shift=0", "25ab7ff6ea62424f"},
+    {"private-l2", "nucache-all:epoch=500,d=4,shift=0",
+     "9c1af96279fc4536"},
+    {"private-l2", "nucache-none:epoch=500,d=4,shift=0",
+     "9c1af96279fc4536"},
+    {"prefetch", "lru", "a520e9a77b62ee88"},
+    {"prefetch", "dip", "88c626960adf98f7"},
+    {"prefetch", "tadip", "d9cc7db1d3ce3e43"},
+    {"prefetch", "ucp", "eb6ebb54f78b41e0"},
+    {"prefetch", "pipp", "5b21d7406d34d0c3"},
+    {"prefetch", "nucache", "a520e9a77b62ee88"},
+    {"prefetch", "nucache:epoch=2000", "7dd131b88f171b6f"},
+    {"prefetch", "nucache-adaptive:epoch=2000", "b49c8b16a93fe671"},
+    {"prefetch", "nucache-topk:epoch=2000", "ff976a70f1ea4d2a"},
+    {"prefetch", "nucache:epoch=500,d=4,shift=0", "5b5eb96401f88000"},
+    {"prefetch", "nucache-all:epoch=500,d=4,shift=0", "a520e9a77b62ee88"},
+    {"prefetch", "nucache-none:epoch=500,d=4,shift=0", "a520e9a77b62ee88"},
+    {"inclusive", "lru", "619ac7d5c619f2e4"},
+    {"inclusive", "dip", "2261a97488a6fb30"},
+    {"inclusive", "tadip", "6fb68a4944ebffb8"},
+    {"inclusive", "ucp", "ac6e8c414c8a6d33"},
+    {"inclusive", "pipp", "5bcded86cc1dfe8b"},
+    {"inclusive", "nucache", "619ac7d5c619f2e4"},
+    {"inclusive", "nucache:epoch=2000", "091c5f7ba5631a3b"},
+    {"inclusive", "nucache-adaptive:epoch=2000", "831521a5845ba4c1"},
+    {"inclusive", "nucache-topk:epoch=2000", "947a13dc9df3fbdb"},
+    {"inclusive", "nucache:epoch=500,d=4,shift=0", "e7f038c549abac2b"},
+    {"inclusive", "nucache-all:epoch=500,d=4,shift=0", "619ac7d5c619f2e4"},
+    {"inclusive", "nucache-none:epoch=500,d=4,shift=0",
+     "619ac7d5c619f2e4"},
+    {"defended", "lru", "784ea6a0d75926f6"},
+    {"defended", "dip", "784ea6a0d75926f6"},
+    {"defended", "tadip", "784ea6a0d75926f6"},
+    {"defended", "ucp", "784ea6a0d75926f6"},
+    {"defended", "pipp", "784ea6a0d75926f6"},
+    {"defended", "nucache", "784ea6a0d75926f6"},
+    {"defended", "nucache:epoch=2000", "784ea6a0d75926f6"},
+    {"defended", "nucache-adaptive:epoch=2000", "784ea6a0d75926f6"},
+    {"defended", "nucache-topk:epoch=2000", "784ea6a0d75926f6"},
+    {"defended", "nucache:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
+    {"defended", "nucache-all:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
+    {"defended", "nucache-none:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
+};
+
+const char *const kGoldenShapes[] = {"default", "private-l2", "prefetch",
+                                     "inclusive", "defended"};
+
+/**
+ * @return the policies pinned per shape: the evaluation set plus
+ * NUcache variants whose short epochs let PC selection, the adaptive
+ * split and the DeliWays run inside these 12k-record windows.
+ */
+std::vector<std::string>
+goldenPolicies()
+{
+    std::vector<std::string> policies = evaluationPolicySet();
+    policies.insert(policies.end(),
+                    {"nucache:epoch=2000", "nucache-adaptive:epoch=2000",
+                     "nucache-topk:epoch=2000",
+                     "nucache:epoch=500,d=4,shift=0",
+                     "nucache-all:epoch=500,d=4,shift=0",
+                     "nucache-none:epoch=500,d=4,shift=0"});
+    return policies;
+}
+
+/** @return the pinned digest of (@p shape, @p policy); empty if none. */
+std::string
+goldenDigest(const std::string &shape, const std::string &policy)
+{
+    for (const GoldenRow &row : kGoldenRows) {
+        if (row.shape == shape && row.policy == policy)
+            return row.digest;
+    }
+    return {};
+}
+
 TEST(SerialGolden, StatsDigestsArePinned)
 {
-    struct Row
-    {
-        const char *shape;
-        const char *policy;
-        const char *digest;
-    };
-    static const Row rows[] = {
-        {"default", "lru", "e3c43f6085bbab1d"},
-        {"default", "dip", "ccdab174bd37f02f"},
-        {"default", "tadip", "e46ddc06e1865d13"},
-        {"default", "ucp", "af440037e09d8fce"},
-        {"default", "pipp", "46be3f766f88545e"},
-        {"default", "nucache", "e3c43f6085bbab1d"},
-        {"default", "nucache:epoch=2000", "cfb2ce7951c993d1"},
-        {"default", "nucache-adaptive:epoch=2000", "eb3c6620e78515e1"},
-        {"default", "nucache-topk:epoch=2000", "a0f399e361ed7fad"},
-        {"default", "nucache:epoch=500,d=4,shift=0", "349ecee9af97bed7"},
-        {"default", "nucache-all:epoch=500,d=4,shift=0", "e3c43f6085bbab1d"},
-        {"default", "nucache-none:epoch=500,d=4,shift=0", "e3c43f6085bbab1d"},
-        {"private-l2", "lru", "9c1af96279fc4536"},
-        {"private-l2", "dip", "e15dfd1bb7c744c8"},
-        {"private-l2", "tadip", "161d68f34beb7196"},
-        {"private-l2", "ucp", "a2de3bda8aa48e55"},
-        {"private-l2", "pipp", "d8599c0f02da0ec3"},
-        {"private-l2", "nucache", "9c1af96279fc4536"},
-        {"private-l2", "nucache:epoch=2000", "647913fbe95b1545"},
-        {"private-l2", "nucache-adaptive:epoch=2000", "878b7bf7a5ab3bf0"},
-        {"private-l2", "nucache-topk:epoch=2000", "3cba7ca5e2db8f40"},
-        {"private-l2", "nucache:epoch=500,d=4,shift=0", "25ab7ff6ea62424f"},
-        {"private-l2", "nucache-all:epoch=500,d=4,shift=0",
-         "9c1af96279fc4536"},
-        {"private-l2", "nucache-none:epoch=500,d=4,shift=0",
-         "9c1af96279fc4536"},
-        {"prefetch", "lru", "a520e9a77b62ee88"},
-        {"prefetch", "dip", "88c626960adf98f7"},
-        {"prefetch", "tadip", "d9cc7db1d3ce3e43"},
-        {"prefetch", "ucp", "eb6ebb54f78b41e0"},
-        {"prefetch", "pipp", "5b21d7406d34d0c3"},
-        {"prefetch", "nucache", "a520e9a77b62ee88"},
-        {"prefetch", "nucache:epoch=2000", "7dd131b88f171b6f"},
-        {"prefetch", "nucache-adaptive:epoch=2000", "b49c8b16a93fe671"},
-        {"prefetch", "nucache-topk:epoch=2000", "ff976a70f1ea4d2a"},
-        {"prefetch", "nucache:epoch=500,d=4,shift=0", "5b5eb96401f88000"},
-        {"prefetch", "nucache-all:epoch=500,d=4,shift=0", "a520e9a77b62ee88"},
-        {"prefetch", "nucache-none:epoch=500,d=4,shift=0", "a520e9a77b62ee88"},
-        {"inclusive", "lru", "619ac7d5c619f2e4"},
-        {"inclusive", "dip", "2261a97488a6fb30"},
-        {"inclusive", "tadip", "6fb68a4944ebffb8"},
-        {"inclusive", "ucp", "ac6e8c414c8a6d33"},
-        {"inclusive", "pipp", "5bcded86cc1dfe8b"},
-        {"inclusive", "nucache", "619ac7d5c619f2e4"},
-        {"inclusive", "nucache:epoch=2000", "091c5f7ba5631a3b"},
-        {"inclusive", "nucache-adaptive:epoch=2000", "831521a5845ba4c1"},
-        {"inclusive", "nucache-topk:epoch=2000", "947a13dc9df3fbdb"},
-        {"inclusive", "nucache:epoch=500,d=4,shift=0", "e7f038c549abac2b"},
-        {"inclusive", "nucache-all:epoch=500,d=4,shift=0", "619ac7d5c619f2e4"},
-        {"inclusive", "nucache-none:epoch=500,d=4,shift=0",
-         "619ac7d5c619f2e4"},
-        {"defended", "lru", "784ea6a0d75926f6"},
-        {"defended", "dip", "784ea6a0d75926f6"},
-        {"defended", "tadip", "784ea6a0d75926f6"},
-        {"defended", "ucp", "784ea6a0d75926f6"},
-        {"defended", "pipp", "784ea6a0d75926f6"},
-        {"defended", "nucache", "784ea6a0d75926f6"},
-        {"defended", "nucache:epoch=2000", "784ea6a0d75926f6"},
-        {"defended", "nucache-adaptive:epoch=2000", "784ea6a0d75926f6"},
-        {"defended", "nucache-topk:epoch=2000", "784ea6a0d75926f6"},
-        {"defended", "nucache:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
-        {"defended", "nucache-all:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
-        {"defended", "nucache-none:epoch=500,d=4,shift=0", "784ea6a0d75926f6"},
-    };
     std::size_t checked = 0;
-    for (const std::string shape :
-         {"default", "private-l2", "prefetch", "inclusive", "defended"}) {
-        // Plus NUcache variants whose short epochs let PC selection,
-        // the adaptive split and the DeliWays run inside these
-        // 12k-record windows.
-        std::vector<std::string> policies = evaluationPolicySet();
-        policies.insert(policies.end(),
-                        {"nucache:epoch=2000", "nucache-adaptive:epoch=2000",
-                         "nucache-topk:epoch=2000",
-                         "nucache:epoch=500,d=4,shift=0",
-                         "nucache-all:epoch=500,d=4,shift=0",
-                         "nucache-none:epoch=500,d=4,shift=0"});
-        for (const std::string &policy : policies) {
-            std::string want;
-            for (const Row &row : rows) {
-                if (row.shape == shape && row.policy == policy)
-                    want = row.digest;
-            }
-            EXPECT_EQ(serialRunDigest(policy, shape), want)
+    for (const std::string shape : kGoldenShapes) {
+        for (const std::string &policy : goldenPolicies()) {
+            EXPECT_EQ(serialRun(policy, shape).digest,
+                      goldenDigest(shape, policy))
                 << "{\"" << shape << "\", \"" << policy << "\"}";
             ++checked;
         }
     }
-    EXPECT_EQ(checked, std::size(rows));
+    EXPECT_EQ(checked, std::size(kGoldenRows));
+}
+
+/**
+ * The same rows replayed from arena cursors reproduce every pinned
+ * digest.  Every shape but the inclusive one replays its private
+ * levels from the shared log; inclusion keeps the live caches.  Both
+ * paths report the same CoreResult.l1.
+ */
+TEST(SerialGolden, ArenaCursorsReproduceDigests)
+{
+    TraceArena &arena = TraceArena::instance();
+    std::size_t checked = 0;
+    for (const std::string shape : kGoldenShapes) {
+        // Cold logs per shape: shapes with equal private geometry would
+        // otherwise share them.
+        arena.clear();
+        const std::uint64_t before = arena.privateRecordsGenerated();
+        for (const std::string &policy : goldenPolicies()) {
+            const SerialRun logged = serialRun(policy, shape, true);
+            EXPECT_EQ(logged.digest, goldenDigest(shape, policy))
+                << "{\"" << shape << "\", \"" << policy << "\"}";
+            ++checked;
+            if (policy != "lru")
+                continue;
+            const SerialRun live = serialRun(policy, shape);
+            for (std::size_t c = 0; c < live.result.cores.size(); ++c) {
+                const CacheCoreStats &a = live.result.cores[c].l1;
+                const CacheCoreStats &b = logged.result.cores[c].l1;
+                EXPECT_EQ(a.accesses, b.accesses) << shape << " core " << c;
+                EXPECT_EQ(a.hits, b.hits) << shape << " core " << c;
+                EXPECT_EQ(a.misses, b.misses) << shape << " core " << c;
+                EXPECT_EQ(a.evictions, b.evictions) << shape << " core " << c;
+                EXPECT_EQ(a.prefetches, b.prefetches) << shape;
+                EXPECT_EQ(a.prefetchFills, b.prefetchFills) << shape;
+            }
+        }
+        const std::uint64_t logged = arena.privateRecordsGenerated() - before;
+        if (shape == "inclusive")
+            EXPECT_EQ(logged, 0u) << shape;
+        else
+            EXPECT_GT(logged, 0u) << shape;
+    }
+    EXPECT_EQ(checked, std::size(kGoldenRows));
 }
 
 } // anonymous namespace

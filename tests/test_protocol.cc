@@ -179,6 +179,27 @@ TEST(Protocol, RejectsImpossibleGeometry)
                R"("llc_kib":48}})");
 }
 
+TEST(Protocol, RejectsPolicySpecsThePolicyWouldFatalOn)
+{
+    // A zero epoch, and DeliWays that fill the 2-core default LLC's
+    // 16 ways: each used to reach a fatal() in the policy.
+    for (const char *spec :
+         {"nucache:epoch=0", "ucp:epoch=0", "pipp:epoch=0", "nucache:d=16",
+          "nucache-topk:d=40"}) {
+        mustReject(std::string(R"({"op":"run_mix","params":{"mix":)"
+                               R"("mix2_01","policy":")") +
+                   spec + "\"}}");
+    }
+    // The same d fits a wider LLC, or the 32-way default at 4 cores.
+    mustParse(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+              R"("policy":"nucache:d=16","llc_ways":32}})");
+    mustParse(R"({"op":"run_mix","params":{"mix":"mix4_01",)"
+              R"("policy":"nucache:d=16"}})");
+    // One way per core for the partitioning policies.
+    mustReject(R"({"op":"run_mix","params":{"mix":"mix4_01",)"
+               R"("policy":"ucp","llc_ways":2,"llc_kib":64}})");
+}
+
 TEST(Protocol, RejectsSlicedExecutionKnobs)
 {
     // The LLC is one flat tag store run by one serial engine, so the
@@ -372,6 +393,14 @@ TEST(Protocol, ValidatePolicySpecMatchesFactoryGrammar)
     EXPECT_FALSE(validatePolicySpec("nucache:dlimit=abc", err));
     EXPECT_FALSE(
         validatePolicySpec("nucache:dlimit=12345678901234567", err));
+    EXPECT_FALSE(validatePolicySpec("nucache:epoch=0", err));
+    EXPECT_TRUE(validatePolicySpec("nucache:epoch=1", err));
+
+    EXPECT_FALSE(validatePolicyForLlc("nucache:d=16", 16, 2, err));
+    EXPECT_TRUE(validatePolicyForLlc("nucache:d=15", 16, 2, err));
+    EXPECT_TRUE(validatePolicyForLlc("lru:d=16", 16, 2, err));
+    EXPECT_FALSE(validatePolicyForLlc("pipp", 2, 4, err));
+    EXPECT_TRUE(validatePolicyForLlc("pipp", 4, 4, err));
 }
 
 } // anonymous namespace

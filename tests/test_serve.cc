@@ -171,6 +171,10 @@ TEST_F(ServeTest, AloneRunsAndArenaAreReusedAcrossRequests)
     EXPECT_GT(svc1.at("arena_records").asUint(), 0u);
     EXPECT_EQ(svc2.at("arena_records").asUint(),
               svc1.at("arena_records").asUint());
+    // The second run replays the private-level logs the first built
+    // (the checker, when on, keeps both on the live caches).
+    EXPECT_EQ(svc2.at("private_records").asUint(),
+              svc1.at("private_records").asUint());
 }
 
 TEST_F(ServeTest, TelemetryRequestAttachesDocument)
@@ -203,6 +207,48 @@ TEST_F(ServeTest, GarbageLineGetsErrorAndConnectionSurvives)
     EXPECT_TRUE(client.call(R"({"op":"health"})").at("ok").asBool());
 }
 
+/**
+ * Each policy spec here once made the daemon exit through fatal():
+ * a zero epoch, and DeliWays filling mix2_01's 16-way LLC.  Each must
+ * answer bad_request and leave the daemon serving.
+ */
+class FatalSpecTest : public ServeTest,
+                      public ::testing::WithParamInterface<const char *>
+{
+};
+
+TEST_P(FatalSpecTest, AnswersBadRequestAndKeepsServing)
+{
+    startServer(baseConfig());
+    TestClient client(server->port());
+    const Json bad = client.call(
+        std::string(R"({"op":"run_mix","id":1,"params":{"mix":"mix2_01",)"
+                    R"("policy":")") +
+        GetParam() + "\"}}");
+    EXPECT_FALSE(bad.at("ok").asBool()) << bad.str(0);
+    EXPECT_EQ(bad.at("error").at("code").asString(), "bad_request");
+
+    const Json next = client.call(kMixLine);
+    EXPECT_TRUE(next.at("ok").asBool()) << next.str(0);
+}
+
+/** @return the spec @p info carries as a test-name-safe string. */
+std::string
+fatalSpecName(const ::testing::TestParamInfo<const char *> &info)
+{
+    std::string name = info.param;
+    for (char &ch : name) {
+        if (ch == ':' || ch == '=')
+            ch = '_';
+    }
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Reproducers, FatalSpecTest,
+                         ::testing::Values("nucache:epoch=0", "ucp:epoch=0",
+                                           "pipp:epoch=0", "nucache:d=16"),
+                         fatalSpecName);
+
 TEST_F(ServeTest, OversizedLineIsRejectedAndClosed)
 {
     serve::ServerConfig cfg = baseConfig();
@@ -224,6 +270,10 @@ TEST_F(ServeTest, FullQueueAnswersOverload)
 {
     serve::ServerConfig cfg = baseConfig();
     cfg.queueDepth = 1;
+    // Id 2 waits in the queue for the whole blocker run, which in a
+    // sanitizer build with the invariant checker on outlasts the 30 s
+    // default deadline; the protocol's longest deadline covers it.
+    cfg.defaultDeadlineMs = 600'000;
     startServer(cfg);
 
     // Occupy the dispatcher with an exclusive (telemetry) run that
@@ -658,7 +708,8 @@ TEST_F(ServeTest, MetricsPrometheusFormat)
 TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
 {
     // profiles_built comes from the process-global ProfileStore (and
-    // arena_records from the process-global TraceArena), so the
+    // arena_records and private_records from the process-global
+    // TraceArena), so the
     // per-shard aggregation must keep one copy instead of summing the
     // same store once per shard.
     model::ProfileStore::instance().clear();
@@ -675,6 +726,7 @@ TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
     const std::uint64_t built =
         model::ProfileStore::instance().built();
     ASSERT_GT(built, 0u);
+    ASSERT_TRUE(client.call(kMixLine).at("ok").asBool());
 
     const Json stats = client.call(R"({"op":"stats"})");
     EXPECT_EQ(stats.at("result")
@@ -687,6 +739,9 @@ TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
     EXPECT_EQ(
         stats.at("result").at("service").at("arena_records").asUint(),
         records);
+    EXPECT_EQ(
+        stats.at("result").at("service").at("private_records").asUint(),
+        TraceArena::instance().privateRecordsGenerated());
 }
 
 TEST_F(ServeTest, NewRunsRejectedWhileShuttingDown)

@@ -18,9 +18,12 @@
  *       malformed document (CI gate for emitted artifacts).
  *   nucache_report --diff OLD NEW [--threshold=0.05]
  *       Compare two BENCH_throughput.json snapshots cell by cell and
- *       fail (exit 2) when the LRU lookup throughput regressed by
- *       more than the threshold fraction, or when NEW's nucache runs
- *       below kMinNucacheLruRatio of its own lru at 1MiB-16w.
+ *       fail (exit 2) when the LRU lookup throughput, normalized by
+ *       each run's own calibration loop, regressed by more than the
+ *       threshold fraction; when NEW's nucache runs below
+ *       kMinNucacheLruRatio of its own lru at 1MiB-16w; or when NEW's
+ *       private-level log runs below kMinPrivateMemoRatio of its own
+ *       live private caches.
  *   --series=SUBSTR limits telemetry detail to matching labels.
  */
 
@@ -557,6 +560,16 @@ summarizeBench(const Json &doc)
                       << static_cast<std::uint64_t>(
                              s.at("lookups_per_sec").asDouble())
                       << "\n";
+        } else if (kind == "records_per_sec" &&
+                   s.find("log_live_ratio") != nullptr) {
+            std::cout << "records/sec: log "
+                      << static_cast<std::uint64_t>(
+                             s.at("log_records_per_sec").asDouble())
+                      << ", live "
+                      << static_cast<std::uint64_t>(
+                             s.at("live_records_per_sec").asDouble())
+                      << ", ratio " << s.at("log_live_ratio").asDouble()
+                      << "\n";
         } else if (s.find("cells") != nullptr) {
             std::cout << s.at("cells").size() << " cells\n";
         }
@@ -776,6 +789,15 @@ summarizeFiles(const std::vector<std::string> &paths,
  */
 constexpr double kMinNucacheLruRatio = 0.30;
 
+/**
+ * Floor on an eight-core System run's records/sec with its private
+ * levels replayed from the shared log, as a multiple of the same run
+ * on live private caches, both from the same bench run.  The log
+ * measures 1.41-1.68x on a 4-thread host; a run that silently fell
+ * back to the live path would measure about 1.0x.
+ */
+constexpr double kMinPrivateMemoRatio = 1.15;
+
 /** @return section of @p doc with the given label, or nullptr. */
 const Json *
 findSection(const Json &doc, const std::string &label)
@@ -860,7 +882,21 @@ diffBench(const std::string &old_path, const std::string &new_path,
         }
     }
 
-    // Gate 2: LRU lookup throughput.
+    // Gate 2: the private-level log against live private caches,
+    // within NEW.
+    if (const Json *memo = findSection(newDoc, "private_memo")) {
+        const double ratio = memo->at("log_live_ratio").asDouble();
+        std::cout << "private_memo log/live records/sec: " << ratio
+                  << " (floor " << kMinPrivateMemoRatio << ")\n";
+        if (ratio < kMinPrivateMemoRatio) {
+            std::cout << "REGRESSION: the private-level log fell below "
+                         "the floor relative to live private caches\n";
+            status = 2;
+        }
+    }
+
+    // Gate 3: LRU lookup throughput per calibration scan, so each
+    // side's host speed cancels.
     const Json *oldLook = findSection(oldDoc, "lru_lookup");
     const Json *newLook = findSection(newDoc, "lru_lookup");
     if (oldLook == nullptr || newLook == nullptr) {
@@ -868,15 +904,26 @@ diffBench(const std::string &old_path, const std::string &new_path,
                      "nothing to gate\n";
         return status;
     }
-    const double ov = oldLook->at("lookups_per_sec").asDouble();
-    const double nv = newLook->at("lookups_per_sec").asDouble();
+    if (oldLook->find("normalized") == nullptr ||
+        newLook->find("normalized") == nullptr) {
+        std::cout << "REGRESSION: an lru_lookup section lacks its "
+                     "calibration-normalized figure\n";
+        return 2;
+    }
+    const double ov = oldLook->at("normalized").asDouble();
+    const double nv = newLook->at("normalized").asDouble();
     const double change = ov > 0.0 ? (nv - ov) / ov : 0.0;
     std::cout << "lru_lookup lookups/sec: "
-              << static_cast<std::uint64_t>(ov) << " -> "
-              << static_cast<std::uint64_t>(nv) << " ("
+              << static_cast<std::uint64_t>(
+                     oldLook->at("lookups_per_sec").asDouble())
+              << " -> "
+              << static_cast<std::uint64_t>(
+                     newLook->at("lookups_per_sec").asDouble())
+              << "; per calibration scan: " << ov << " -> " << nv << " ("
               << (change >= 0 ? "+" : "") << change * 100.0 << "%)\n";
     if (change < -threshold) {
-        std::cout << "REGRESSION: lookup throughput dropped more than "
+        std::cout << "REGRESSION: normalized lookup throughput dropped "
+                     "more than "
                   << threshold * 100.0 << "%\n";
         return 2;
     }
