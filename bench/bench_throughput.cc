@@ -60,7 +60,8 @@ constexpr Geometry kGeometries[] = {
 };
 
 constexpr const char *kPolicies[] = {
-    "lru", "nru", "dip", "srrip", "ship", "ucp", "pipp", "nucache",
+    "lru",  "nru", "dip", "tadip",   "srrip",
+    "ship", "ucp", "pipp", "nucache",
 };
 
 /** Timed result of one (policy, geometry) cell. */

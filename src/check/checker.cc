@@ -27,21 +27,13 @@ CacheChecker::checkSet(std::uint32_t set)
     const SetView view = cache.viewSet(set);
     std::size_t found = 0;
 
-    // Structural invariants: the tag array must never hold two valid
-    // copies of one block, and every valid line must belong to a
-    // registered core (partitioning policies key on line.coreId).
+    // Structural invariant: the tag array must never hold two valid
+    // copies of one block.  (Which core owns a line is the
+    // partitioning policy's own column; UCP checks it itself.)
     for (std::uint32_t a = 0; a < view.ways(); ++a) {
         const CacheLine &la = view.line(a);
         if (!la.valid)
             continue;
-        if (la.coreId >= cache.numCores()) {
-            std::ostringstream os;
-            os << "way " << a << " allocated by core "
-               << static_cast<unsigned>(la.coreId) << " but only "
-               << cache.numCores() << " cores registered";
-            report(set, os.str());
-            ++found;
-        }
         for (std::uint32_t b = a + 1; b < view.ways(); ++b) {
             const CacheLine &lb = view.line(b);
             if (lb.valid && lb.tag == la.tag) {

@@ -6,12 +6,12 @@
  * every access, sweeps the touched set for two classes of invariant:
  *
  *  - structural (owned by the tag array itself): at most one valid
- *    line per tag in a set, and every valid line allocated by a
- *    registered core;
+ *    line per tag in a set;
  *  - policy (owned by the replacement algorithm's metadata): whatever
  *    ReplacementPolicy::checkInvariants() asserts — LRU recency-stack
  *    coherence, NUcache's |Main| <= W - D and FIFO DeliWays ordering,
- *    UCP quota compliance, PIPP's rank permutation.
+ *    UCP quota compliance and registered line owners, PIPP's rank
+ *    order rows.
  *
  * In Panic mode (the default, used by --check runs) a violation
  * aborts via panic() so the broken state is captured; Collect mode

@@ -3,14 +3,19 @@
  * Runtime-dispatched SIMD kernels for the simulation hot path.
  *
  * Two scans dominate `Cache::access`: the tag-row equality scan
- * (findWay) and true-LRU's min-stamp victim scan.  Both are packed
- * 64-bit lane operations that GCC cannot auto-vectorize from their
- * scalar form (the bitmask accumulation and first-min-index reductions
- * have no recognized idiom), and baseline x86-64 (SSE2) lacks 64-bit
- * lane compares anyway.  So each kernel is written once per ISA level
- * with intrinsics and selected once at static-initialization time via
+ * (findWay) and the min-stamp victim scans of the recency-ordered
+ * policies (true LRU and DIP/TADIP over the whole set; DIP/TADIP's
+ * LRU insertion, UCP and NUcache's MainWays and DeliWays over a way
+ * mask).  The unmasked ones are packed 64-bit lane operations that
+ * GCC cannot auto-vectorize from their scalar form (the bitmask
+ * accumulation and first-min-index reductions have no recognized
+ * idiom), and baseline x86-64 (SSE2) lacks 64-bit lane compares
+ * anyway.  So each is written once per ISA level with intrinsics and
+ * selected once at static-initialization time via
  * `__builtin_cpu_supports` — the binary stays portable and
- * non-x86/non-GNU builds keep the scalar fallback.
+ * non-x86/non-GNU builds keep the scalar fallback.  The masked minimum
+ * has one implementation on every host, a walk of the mask's set bits:
+ * an AVX-512 register fold measured no faster on the policies' masks.
  *
  * Semantics are bit-exact with the scalar loops: lowest index wins on
  * every tie, so replacing a call site never changes simulated results
@@ -20,6 +25,7 @@
 #ifndef NUCACHE_COMMON_SIMD_HH
 #define NUCACHE_COMMON_SIMD_HH
 
+#include <bit>
 #include <cstdint>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -56,6 +62,32 @@ minIndex64Scalar(const std::uint64_t *row, std::uint32_t n)
             lowest = row[w];
             best = w;
         }
+    }
+    return best;
+}
+
+/**
+ * First index of the minimum of row[w] over the lanes w < n whose bit
+ * is set in @p mask (n <= 64), or n when no such lane holds a value
+ * below ~0 — an empty mask included.  This is the scan
+ * `best = n; lowest = ~0; for w in mask: if row[w] < lowest ...`:
+ * strict `<`, so the lowest index wins ties and all-ones lanes are
+ * never picked.  The walk visits only the set bits and selects without
+ * branching on the (unpredictable) stamp comparison.
+ */
+inline std::uint32_t
+minIndexMasked64(const std::uint64_t *row, std::uint32_t n,
+                 std::uint64_t mask)
+{
+    if (n < 64)
+        mask &= (std::uint64_t{1} << n) - 1;
+    std::uint32_t best = n;
+    std::uint64_t lowest = ~std::uint64_t{0};
+    for (; mask != 0; mask &= mask - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(mask));
+        const bool lower = row[w] < lowest;
+        best = lower ? w : best;
+        lowest = lower ? row[w] : lowest;
     }
     return best;
 }

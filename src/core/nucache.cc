@@ -44,6 +44,8 @@ NUcachePolicy::init(const PolicyContext &ctx)
         fatal("NUcache: ", deliWays, " DeliWays leaves no MainWays in a ",
               ctx.numWays, "-way cache");
     stamp.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays, 0);
+    allocPc.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays,
+                   invalidPC);
     masks.assign(ctx.numSets, SetMasks{});
     selGeneration = 0;
     mainHitPos.assign(ctx.numWays, 0);
@@ -86,22 +88,6 @@ NUcachePolicy::isSelected(PC pc) const
     }
 }
 
-std::uint32_t
-NUcachePolicy::oldestIn(const SetView &set, std::uint64_t mask) const
-{
-    const std::uint64_t *row = &stamp[slot(set.setIndex(), 0)];
-    std::uint32_t victim = set.ways();
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (; mask != 0; mask &= mask - 1) {
-        const auto w = static_cast<std::uint32_t>(std::countr_zero(mask));
-        if (row[w] < oldest) {
-            oldest = row[w];
-            victim = w;
-        }
-    }
-    return victim;
-}
-
 NUcachePolicy::SetMasks &
 NUcachePolicy::freshMasks(const SetView &set)
 {
@@ -110,7 +96,7 @@ NUcachePolicy::freshMasks(const SetView &set)
         m.sel = 0;
         for (std::uint64_t v = set.validMask(); v != 0; v &= v - 1) {
             const auto w = static_cast<std::uint32_t>(std::countr_zero(v));
-            if (isSelected(set.line(w).pc))
+            if (isSelected(allocPc[slot(set.setIndex(), w)]))
                 m.sel |= std::uint64_t{1} << w;
         }
         m.selGen = selGeneration;
@@ -129,8 +115,8 @@ NUcachePolicy::enforceMainBound(const SetView &set)
         stamp[slot(set.setIndex(), lru)] = ++fifoCounter;
         // The block retires from the MainWays here: this is the moment
         // the Next-Use clock starts for it.
-        const CacheLine line = set.line(lru);
-        numon.onRetire(set.setIndex(), line.tag, line.pc);
+        numon.onRetire(set.setIndex(), set.tag(lru),
+                       allocPc[slot(set.setIndex(), lru)]);
     }
 }
 
@@ -175,7 +161,7 @@ NUcachePolicy::onHit(const SetView &set, std::uint32_t way,
         ++deliHitCount;
         // A DeliWays hit is a successful next-use: record its distance
         // so the selection keeps seeing the PCs it is saving.
-        numon.onUse(set.setIndex(), set.line(way).tag);
+        numon.onUse(set.setIndex(), set.tag(way));
 
         // Promote to the MainWays MRU unless doing so would push a
         // non-selected Main-LRU into the FIFO *and* the hit block is
@@ -200,7 +186,8 @@ NUcachePolicy::onHit(const SetView &set, std::uint32_t way,
             // selection drifts low at high hit rates and overshoots.
             line_stamp = ++fifoCounter;
             ++leaseRefreshCount;
-            numon.onLease(set.setIndex(), set.line(way).pc);
+            numon.onLease(set.setIndex(),
+                          allocPc[slot(set.setIndex(), way)]);
         }
         return;
     }
@@ -233,7 +220,8 @@ NUcachePolicy::onEvict(const SetView &set, std::uint32_t way,
     // already retired when it was demoted; re-boarding it would reset
     // its Next-Use clock and understate the distance.
     if (((masks[set.setIndex()].deli >> way) & 1) == 0)
-        numon.onRetire(set.setIndex(), victim.tag, victim.pc);
+        numon.onRetire(set.setIndex(), victim.tag,
+                       allocPc[slot(set.setIndex(), way)]);
 }
 
 void
@@ -245,6 +233,7 @@ NUcachePolicy::onFill(const SetView &set, std::uint32_t way,
     m.deli &= ~bit;
     m.sel = isSelected(info.pc) ? m.sel | bit : m.sel & ~bit;
     stamp[slot(set.setIndex(), way)] = info.tick;
+    allocPc[slot(set.setIndex(), way)] = info.pc;
     enforceMainBound(set);
 }
 
@@ -379,7 +368,8 @@ NUcachePolicy::checkInvariants(const SetView &set, std::string &why) const
         // A set already refreshed to this generation must agree with
         // the admission list it caches.
         if (m.selGen == selGeneration &&
-            (((m.sel >> w) & 1) != 0) != isSelected(set.line(w).pc)) {
+            (((m.sel >> w) & 1) != 0) !=
+                isSelected(allocPc[slot(set.setIndex(), w)])) {
             why = "cached selection bit of way " + std::to_string(w) +
                   " disagrees with the admission list";
             return false;

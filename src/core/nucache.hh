@@ -28,6 +28,9 @@
  *    whose tag is behind re-derives its bits on its next victim, hit
  *    or fill, and onFill sets its own way's bit from the access PC.
  *    The hit and victim paths therefore test bits, not a hash set.
+ *  - The allocating PC of each line lives in the policy's own
+ *    `allocPc` column, written by onFill: the tag store keeps tags,
+ *    valid and dirty bits only.
  *  - Cache::invalidate() drops lines without consulting the policy,
  *    so the mask bits of invalid ways are stale: every mask read is
  *    ANDed with the set's valid mask, and onFill rewrites a refilled
@@ -48,6 +51,7 @@
 #include <vector>
 
 #include "core/next_use_monitor.hh"
+#include "common/simd.hh"
 #include "core/pc_selection.hh"
 #include "mem/replacement.hh"
 
@@ -131,6 +135,13 @@ class NUcachePolicy : public ReplacementPolicy
     /** @return region label of (set, way): true if DeliWays (tests). */
     bool inDeliWays(std::uint32_t set, std::uint32_t way) const;
 
+    /** @return the PC whose miss filled (set, way) (tests). */
+    PC
+    allocatingPc(std::uint32_t set, std::uint32_t way) const
+    {
+        return allocPc[slot(set, way)];
+    }
+
     /**
      * The runtime verifier behind the CacheChecker: |Main| <= W - D
      * and |Deli| <= D occupancy bounds, all-MainWays-used-when-full,
@@ -177,7 +188,12 @@ class NUcachePolicy : public ReplacementPolicy
      * @return the way in @p mask with the smallest stamp (the lowest
      * way on a tie); ways() if @p mask is empty.
      */
-    std::uint32_t oldestIn(const SetView &set, std::uint64_t mask) const;
+    std::uint32_t
+    oldestIn(const SetView &set, std::uint64_t mask) const
+    {
+        return simd::minIndexMasked64(&stamp[slot(set.setIndex(), 0)],
+                                      set.ways(), mask);
+    }
 
     /**
      * @return @p set's masks with its `sel` bits brought up to the
@@ -199,6 +215,8 @@ class NUcachePolicy : public ReplacementPolicy
     std::uint32_t deliWays = 0;
     /** Main recency tick or Deli FIFO stamp per (set, way). */
     std::vector<std::uint64_t> stamp;
+    /** PC whose miss filled each (set, way); written by onFill. */
+    std::vector<PC> allocPc;
     std::vector<SetMasks> masks;
     /** Bumped whenever the selected set changes. */
     std::uint64_t selGeneration = 0;

@@ -52,7 +52,6 @@ Cache::Cache(const CacheConfig &config,
 
     const std::size_t entries = static_cast<std::size_t>(sets) * cfg.ways;
     tags.assign(entries, 0);
-    origins.assign(entries, LineOrigin{});
     validBits.assign(sets, 0);
     dirtyBits.assign(sets, 0);
     stats.assign(num_cores, CacheCoreStats{});
@@ -89,8 +88,8 @@ SetView
 Cache::viewSet(std::uint32_t set) const
 {
     const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
-    return SetView(&tags[base], &origins[base], &validBits[set],
-                   &dirtyBits[set], cfg.ways, set);
+    return SetView(&tags[base], &validBits[set], &dirtyBits[set], cfg.ways,
+                   set);
 }
 
 std::uint32_t
@@ -128,8 +127,7 @@ Cache::access(AccessInfo info)
     const std::size_t base = static_cast<std::size_t>(set) * cfg.ways;
     std::uint64_t &valid = validBits[set];
     std::uint64_t &dirty = dirtyBits[set];
-    const SetView view(&tags[base], &origins[base], &valid, &dirty, cfg.ways,
-                       set);
+    const SetView view(&tags[base], &valid, &dirty, cfg.ways, set);
 
     auto &cs = stats[info.coreId];
     if (info.isPrefetch)
@@ -200,7 +198,6 @@ Cache::access(AccessInfo info)
         }
 
         tags[base + victim] = tag;
-        origins[base + victim] = LineOrigin{info.pc, info.coreId};
         valid |= vbit;
         if (info.isWrite)
             dirty |= vbit;
@@ -228,7 +225,6 @@ Cache::remapFlush(std::uint64_t epoch)
     for (const std::uint64_t dirty : dirtyBits)
         writebackCount += static_cast<std::uint64_t>(std::popcount(dirty));
     std::fill(tags.begin(), tags.end(), Addr{0});
-    std::fill(origins.begin(), origins.end(), LineOrigin{});
     std::fill(validBits.begin(), validBits.end(), std::uint64_t{0});
     std::fill(dirtyBits.begin(), dirtyBits.end(), std::uint64_t{0});
     repl->onFlushAll();
@@ -249,7 +245,6 @@ Cache::invalidate(Addr addr)
         return false;
     const std::size_t slot = static_cast<std::size_t>(set) * cfg.ways + way;
     tags[slot] = 0;
-    origins[slot] = LineOrigin{};
     const std::uint64_t wbit = std::uint64_t{1} << way;
     validBits[set] &= ~wbit;
     dirtyBits[set] &= ~wbit;

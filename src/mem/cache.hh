@@ -236,13 +236,12 @@ class Cache
     LruPolicy *lruFast = nullptr;
 
     /**
-     * The packed structure-of-arrays tag store, indexed by set.  The
-     * lookup scans only `tags` (contiguous per set) plus one `valid`
-     * word; `origins` (allocating PC/core) is cold — written on fill
-     * and invalidate, read only by policy hooks through SetView.
+     * The packed structure-of-arrays tag store, indexed by set: tags
+     * (contiguous per set) plus one valid and one dirty word per set.
+     * Who allocated a line is the business of the policies that key on
+     * it; each keeps that in a per-line column of its own.
      */
     std::vector<Addr> tags;               ///< sets * ways
-    std::vector<LineOrigin> origins;      ///< sets * ways, cold
     std::vector<std::uint64_t> validBits; ///< one word per set
     std::vector<std::uint64_t> dirtyBits; ///< one word per set
 

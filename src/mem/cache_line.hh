@@ -13,37 +13,22 @@ namespace nucache
 {
 
 /**
- * Tag-array entry of one cache line.
+ * Tag-array entry of one cache line, as the replacement hooks see it.
  *
  * Data contents are not modeled (trace-driven simulation needs only
- * hit/miss behaviour).  The allocating PC and core are retained because
- * PC-centric policies (NUcache) and partitioning policies (UCP, PIPP)
- * key their decisions on them.
+ * hit/miss behaviour).  The tag store keeps tags, valid and dirty
+ * bits only: a policy that keys on who allocated a line (the owning
+ * core for UCP, the allocating PC for NUcache and Hawkeye) records it
+ * itself in onFill, in a per-line column of its own.
  */
 struct CacheLine
 {
     /** Block-aligned tag (full address >> blockBits; no index split). */
     Addr tag = 0;
-    /** PC of the instruction whose miss allocated this line. */
-    PC pc = invalidPC;
-    /** Core whose miss allocated this line. */
-    CoreId coreId = invalidCore;
     /** Entry holds a live block. */
     bool valid = false;
     /** Block was written since allocation (write-back needed). */
     bool dirty = false;
-};
-
-/**
- * Cold per-line metadata of the packed tag store: the allocating PC
- * and core.  Kept in a side array separate from the tag scan path
- * because it is read only by policy hooks and written only on fill /
- * invalidate, never during the lookup itself.
- */
-struct LineOrigin
-{
-    PC pc = invalidPC;
-    CoreId coreId = invalidCore;
 };
 
 /** One memory access as seen by a cache level. */

@@ -2,9 +2,10 @@
  * @file
  * The replacement-policy interface of the set-associative cache model.
  *
- * The Cache owns the tag array; a ReplacementPolicy owns whatever
- * per-line or global metadata its algorithm needs (recency stamps,
- * RRPVs, utility monitors, Next-Use histograms, ...) and is consulted
+ * The Cache owns the tag array (tags, valid and dirty bits); a
+ * ReplacementPolicy owns whatever per-line or global metadata its
+ * algorithm needs (recency stamps, RRPVs, owning cores, allocating
+ * PCs, utility monitors, Next-Use histograms, ...) and is consulted
  * through the hooks below.  Policies see the lines of the accessed set
  * through a read-only SetView, which is enough for thread-aware and
  * PC-centric algorithms.
@@ -41,22 +42,19 @@ struct PolicyContext
  * Read-only view of one cache set, passed to policy hooks.
  *
  * The view is *live*: it points into the cache's packed
- * structure-of-arrays tag store (per-set tag array, valid/dirty
- * bitmask words and the cold PC/core side array), so hooks fired
- * after a state change — onFill in particular — observe the updated
- * set, exactly as they did when the store was an array of CacheLine.
- * line() assembles a CacheLine value from the packed columns; all
- * existing call sites (`set.line(w).valid`, `const auto &l =
- * set.line(w)`) compile and behave unchanged.
+ * structure-of-arrays tag store (per-set tag array and valid/dirty
+ * bitmask words), so hooks fired after a state change — onFill in
+ * particular — observe the updated set.  line() assembles a CacheLine
+ * value from the packed columns; tag() and the masks read one column.
  */
 class SetView
 {
   public:
-    SetView(const Addr *tags, const LineOrigin *origins,
-            const std::uint64_t *valid, const std::uint64_t *dirty,
-            std::uint32_t ways, std::uint32_t set_index)
-        : tagsPtr(tags), originsPtr(origins), validPtr(valid),
-          dirtyPtr(dirty), wayCount(ways), setIdx(set_index)
+    SetView(const Addr *tags, const std::uint64_t *valid,
+            const std::uint64_t *dirty, std::uint32_t ways,
+            std::uint32_t set_index)
+        : tagsPtr(tags), validPtr(valid), dirtyPtr(dirty), wayCount(ways),
+          setIdx(set_index)
     {
     }
 
@@ -66,12 +64,13 @@ class SetView
     {
         CacheLine l;
         l.tag = tagsPtr[w];
-        l.pc = originsPtr[w].pc;
-        l.coreId = originsPtr[w].coreId;
         l.valid = ((*validPtr >> w) & 1) != 0;
         l.dirty = ((*dirtyPtr >> w) & 1) != 0;
         return l;
     }
+
+    /** @return the tag held by way @p w (meaningful if valid). */
+    Addr tag(std::uint32_t w) const { return tagsPtr[w]; }
 
     /** @return number of ways in the set. */
     std::uint32_t ways() const { return wayCount; }
@@ -96,7 +95,6 @@ class SetView
 
   private:
     const Addr *tagsPtr;
-    const LineOrigin *originsPtr;
     const std::uint64_t *validPtr;
     const std::uint64_t *dirtyPtr;
     std::uint32_t wayCount;

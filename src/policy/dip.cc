@@ -1,5 +1,7 @@
 #include "policy/dip.hh"
 
+#include "common/simd.hh"
+
 namespace nucache
 {
 
@@ -15,16 +17,8 @@ std::uint32_t
 InsertionLruBase::victimWay(const SetView &set, const AccessInfo &info)
 {
     (void)info;
-    std::uint32_t victim = 0;
-    Tick oldest = ~Tick{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const Tick t = lastTouch[slot(set.setIndex(), w)];
-        if (t < oldest) {
-            oldest = t;
-            victim = w;
-        }
-    }
-    return victim;
+    return simd::minIndex64(&lastTouch[slot(set.setIndex(), 0)],
+                            set.ways());
 }
 
 void
@@ -42,16 +36,13 @@ InsertionLruBase::onFill(const SetView &set, std::uint32_t way,
         lastTouch[slot(set.setIndex(), way)] = info.tick;
         return;
     }
-    // LRU insertion: stamp just below the current minimum so this line
-    // is the next victim unless it is reused first.
-    Tick oldest = ~Tick{0};
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (w == way || !set.line(w).valid)
-            continue;
-        oldest = std::min(oldest, lastTouch[slot(set.setIndex(), w)]);
-    }
-    if (oldest == ~Tick{0})
-        oldest = 1;  // set otherwise empty: position is irrelevant
+    // LRU insertion: stamp just below the current minimum of the other
+    // valid lines so this line is the next victim unless it is reused
+    // first; in an otherwise empty set the position is irrelevant.
+    const Tick *row = &lastTouch[slot(set.setIndex(), 0)];
+    const std::uint32_t lru = simd::minIndexMasked64(
+        row, set.ways(), set.validMask() & ~(std::uint64_t{1} << way));
+    const Tick oldest = lru != set.ways() ? row[lru] : 1;
     lastTouch[slot(set.setIndex(), way)] = oldest > 0 ? oldest - 1 : 0;
 }
 

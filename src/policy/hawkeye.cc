@@ -38,6 +38,8 @@ HawkeyePolicy::init(const PolicyContext &ctx)
     predictor.assign(std::size_t{1} << cfg.predictorLogSize, 4);
     age.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays,
                maxAge);
+    allocPc.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays,
+                   invalidPC);
     optHits = 0;
     optMisses = 0;
 }
@@ -131,7 +133,8 @@ HawkeyePolicy::victimWay(const SetView &set, const AccessInfo &info)
             victim = w;
         }
     }
-    std::uint8_t &ctr = predictor[signatureOf(set.line(victim).pc)];
+    std::uint8_t &ctr =
+        predictor[signatureOf(allocPc[slot(set.setIndex(), victim)])];
     if (ctr > 0)
         --ctr;
     (void)info;
@@ -159,6 +162,7 @@ void
 HawkeyePolicy::onFill(const SetView &set, std::uint32_t way,
                       const AccessInfo &info)
 {
+    allocPc[slot(set.setIndex(), way)] = info.pc;
     if (!predictsFriendly(info.pc)) {
         age[slot(set.setIndex(), way)] = maxAge;
         return;

@@ -57,6 +57,13 @@ class HawkeyePolicy : public ReplacementPolicy
     /** @return true iff the predictor currently trusts @p pc. */
     bool predictsFriendly(PC pc) const;
 
+    /** @return the PC whose miss filled (set, way) (tests). */
+    PC
+    allocatingPc(std::uint32_t set, std::uint32_t way) const
+    {
+        return allocPc[slot(set, way)];
+    }
+
     /** @return OPTgen verdicts issued so far: {hits, misses}. */
     std::pair<std::uint64_t, std::uint64_t>
     optgenVerdicts() const
@@ -96,6 +103,8 @@ class HawkeyePolicy : public ReplacementPolicy
     std::vector<std::uint8_t> predictor;
     /** Per-line age (0 = protected MRU, maxAge = predicted dead). */
     std::vector<std::uint8_t> age;
+    /** PC whose miss filled each line (detrained on its eviction). */
+    std::vector<PC> allocPc;
     std::uint64_t optHits = 0;
     std::uint64_t optMisses = 0;
 };

@@ -1,6 +1,8 @@
 #include "policy/pipp.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "policy/ucp.hh"
@@ -29,15 +31,26 @@ PippPolicy::init(const PolicyContext &ctx)
         ++alloc[c];
     if (ctx.numWays < ctx.numCores)
         fatal("PIPP needs at least one way per core");
-    rank.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays,
-                noRank);
+    order.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays, 0);
+    count.assign(ctx.numSets, 0);
     accessCount = 0;
+}
+
+std::uint8_t
+PippPolicy::position(std::uint32_t set, std::uint32_t way) const
+{
+    const std::uint8_t *r = row(set);
+    const void *at = std::memchr(r, static_cast<int>(way), count[set]);
+    return at != nullptr
+        ? static_cast<std::uint8_t>(static_cast<const std::uint8_t *>(at) -
+                                    r)
+        : noRank;
 }
 
 std::uint32_t
 PippPolicy::rankOf(std::uint32_t set, std::uint32_t way) const
 {
-    return rank[slot(set, way)];
+    return position(set, way);
 }
 
 void
@@ -81,41 +94,32 @@ PippPolicy::checkInvariants(const SetView &set, std::string &why) const
         return false;
     }
 
-    // The valid lines' ranks must be exactly {0 .. n-1}: the victim
-    // path picks the minimum rank and the promotion path swaps with
-    // rank+1, so a duplicate or a hole silently pins lines in place.
-    std::uint32_t valid_n = 0;
-    std::vector<bool> seen(set.ways(), false);
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const std::uint8_t r = rank[slot(set.setIndex(), w)];
-        if (!set.line(w).valid) {
-            if (r != noRank) {
-                why = "invalid line in way " + std::to_string(w) +
-                      " still ranked " + std::to_string(r);
-                return false;
-            }
-            continue;
-        }
-        ++valid_n;
-        if (r == noRank || r >= set.ways()) {
-            why = "valid line in way " + std::to_string(w) +
-                  " has rank " + std::to_string(r) + " outside [0, " +
-                  std::to_string(set.ways()) + ")";
+    // The order row must hold each valid way exactly once and nothing
+    // else: the victim path takes the first entry and the promotion
+    // path swaps neighbours, so a duplicate or a stray entry silently
+    // pins lines in place.
+    const std::uint8_t *r = row(set.setIndex());
+    const std::uint32_t n = count[set.setIndex()];
+    std::uint64_t seen = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        const std::uint32_t w = r[i];
+        if (w >= set.ways() || ((set.validMask() >> w) & 1) == 0) {
+            why = "rank " + std::to_string(i) + " holds way " +
+                  std::to_string(w) + ", which is not a valid line";
             return false;
         }
-        if (seen[r]) {
-            why = "rank " + std::to_string(r) + " held twice (way " +
-                  std::to_string(w) + ")";
+        if (((seen >> w) & 1) != 0) {
+            why = "way " + std::to_string(w) + " ranked twice (rank " +
+                  std::to_string(i) + ")";
             return false;
         }
-        seen[r] = true;
+        seen |= std::uint64_t{1} << w;
     }
-    for (std::uint32_t r = 0; r < valid_n; ++r) {
-        if (!seen[r]) {
-            why = "rank " + std::to_string(r) + " missing from the " +
-                  std::to_string(valid_n) + "-line permutation";
-            return false;
-        }
+    if (seen != set.validMask()) {
+        why = std::to_string(std::popcount(set.validMask() & ~seen)) +
+              " valid lines missing from the " + std::to_string(n) +
+              "-line rank order";
+        return false;
     }
     return true;
 }
@@ -125,16 +129,13 @@ PippPolicy::victimWay(const SetView &set, const AccessInfo &info)
 {
     (void)info;
     // The victim is the lowest-ranked valid line.
-    std::uint32_t victim = 0;
-    std::uint32_t best = noRank;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const std::uint8_t r = rank[slot(set.setIndex(), w)];
-        if (set.line(w).valid && r < best) {
-            best = r;
-            victim = w;
-        }
+    const std::uint8_t *r = row(set.setIndex());
+    const std::uint32_t n = count[set.setIndex()];
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (((set.validMask() >> r[i]) & 1) != 0)
+            return r[i];
     }
-    return victim;
+    return 0;
 }
 
 void
@@ -144,16 +145,11 @@ PippPolicy::onHit(const SetView &set, std::uint32_t way,
     observe(set, info);
     if (!rng.chance(cfg.promoteProb))
         return;
-    // Promote by one: swap ranks with the line directly above.
-    const std::uint8_t mine = rank[slot(set.setIndex(), way)];
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (w != way && rank[slot(set.setIndex(), w)] == mine + 1) {
-            rank[slot(set.setIndex(), w)] = mine;
-            rank[slot(set.setIndex(), way)] =
-                static_cast<std::uint8_t>(mine + 1);
-            return;
-        }
-    }
+    // Promote by one: swap places with the line directly above.
+    const std::uint32_t p = position(set.setIndex(), way);
+    std::uint8_t *r = row(set.setIndex());
+    if (p + 1 < count[set.setIndex()])
+        std::swap(r[p], r[p + 1]);
 }
 
 void
@@ -169,42 +165,40 @@ PippPolicy::onEvict(const SetView &set, std::uint32_t way,
     (void)victim;
     (void)info;
     // Close the rank gap left by the departing line.
-    const std::uint8_t gone = rank[slot(set.setIndex(), way)];
-    rank[slot(set.setIndex(), way)] = noRank;
-    if (gone == noRank)
+    const std::uint32_t p = position(set.setIndex(), way);
+    std::uint8_t &n = count[set.setIndex()];
+    if (p == noRank)
         return;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        std::uint8_t &r = rank[slot(set.setIndex(), w)];
-        if (r != noRank && r > gone)
-            --r;
-    }
+    std::uint8_t *r = row(set.setIndex());
+    std::memmove(r + p, r + p + 1, n - p - 1);
+    --n;
 }
 
 void
 PippPolicy::onFill(const SetView &set, std::uint32_t way,
                    const AccessInfo &info)
 {
-    // Count currently ranked lines (excluding the way being filled,
-    // whose stale rank was cleared by onEvict or never set).
-    std::uint32_t ranked = 0;
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        if (w != way && rank[slot(set.setIndex(), w)] != noRank)
-            ++ranked;
+    std::uint8_t *r = row(set.setIndex());
+    std::uint8_t &n = count[set.setIndex()];
+    // Every ranked way but the one just filled is valid, unless a line
+    // left through Cache::invalidate (never on an LLC): then drop the
+    // entries of invalid ways and of this way before inserting.
+    if (n >= std::popcount(set.validMask())) {
+        std::uint32_t kept = 0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (r[i] != way && ((set.validMask() >> r[i]) & 1) != 0)
+                r[kept++] = r[i];
+        }
+        n = static_cast<std::uint8_t>(kept);
     }
 
     // Insert at this core's priority: pi - 1 positions above LRU,
     // clamped to the currently occupied range.
     const std::uint32_t pi = alloc[info.coreId];
-    const std::uint8_t pos = static_cast<std::uint8_t>(
-        std::min<std::uint32_t>(pi == 0 ? 0 : pi - 1, ranked));
-
-    // Shift up everyone at or above the insertion position.
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        std::uint8_t &r = rank[slot(set.setIndex(), w)];
-        if (w != way && r != noRank && r >= pos)
-            ++r;
-    }
-    rank[slot(set.setIndex(), way)] = pos;
+    const std::uint32_t pos = std::min<std::uint32_t>(pi == 0 ? 0 : pi - 1, n);
+    std::memmove(r + pos + 1, r + pos, n - pos);
+    r[pos] = static_cast<std::uint8_t>(way);
+    ++n;
 }
 
 } // namespace nucache

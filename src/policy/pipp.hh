@@ -52,25 +52,21 @@ class PippPolicy : public ReplacementPolicy
     void onFill(const SetView &set, std::uint32_t way,
                 const AccessInfo &info) override;
 
-    /**
-     * A full flush unranks every line: checkInvariants demands invalid
-     * lines carry noRank, and stale ranks would corrupt the permutation
-     * when the flushed set refills.
-     */
+    /** A full flush unranks every line: every order row empties. */
     void
     onFlushAll() override
     {
-        rank.assign(rank.size(), noRank);
+        count.assign(count.size(), 0);
     }
 
     std::string name() const override { return "pipp"; }
 
     /**
-     * Promotion bounds: insertion, single-step promotion and the
-     * eviction gap-closing must keep the valid lines' ranks an exact
-     * permutation of 0..n-1 (duplicates or holes let lines become
-     * unevictable), invalid lines unranked, and the allocations a
-     * well-formed partition of the ways.
+     * Promotion bounds: insertion, single-step promotion and eviction
+     * must keep each order row an exact permutation of the set's valid
+     * ways (a duplicate or a missing way lets lines become
+     * unevictable), and the allocations a well-formed partition of the
+     * ways.
      */
     bool checkInvariants(const SetView &set,
                          std::string &why) const override;
@@ -84,11 +80,20 @@ class PippPolicy : public ReplacementPolicy
   private:
     static constexpr std::uint8_t noRank = 0xff;
 
-    std::size_t
-    slot(std::uint32_t set, std::uint32_t way) const
+    /** @return the order row of @p set (ways by rank, LRU end first). */
+    std::uint8_t *
+    row(std::uint32_t set)
     {
-        return static_cast<std::size_t>(set) * context.numWays + way;
+        return &order[static_cast<std::size_t>(set) * context.numWays];
     }
+    const std::uint8_t *
+    row(std::uint32_t set) const
+    {
+        return &order[static_cast<std::size_t>(set) * context.numWays];
+    }
+
+    /** @return the rank of @p way in @p set, or noRank if unranked. */
+    std::uint8_t position(std::uint32_t set, std::uint32_t way) const;
 
     /** Feed UMONs and run the epoch allocator. */
     void observe(const SetView &set, const AccessInfo &info);
@@ -100,8 +105,14 @@ class PippPolicy : public ReplacementPolicy
     Rng rng{0x9199ull};
     std::vector<UtilityMonitor> monitors;
     std::vector<std::uint32_t> alloc;
-    /** Priority rank per line; noRank for invalid lines. */
-    std::vector<std::uint8_t> rank;
+    /**
+     * Per set, its ranked ways in priority order: entry r is the way
+     * of rank r (0 = next victim), for the first count[set] entries.
+     * Evictions and insertions shift the tail of one row with memmove;
+     * a promotion swaps two neighbours.
+     */
+    std::vector<std::uint8_t> order;
+    std::vector<std::uint8_t> count;
     std::uint64_t accessCount = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "policy/ucp.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -85,8 +86,13 @@ UcpPolicy::init(const PolicyContext &ctx)
     if (ctx.numWays < ctx.numCores)
         fatal("UCP needs at least one way per core (", ctx.numWays,
               " ways, ", ctx.numCores, " cores)");
+    if (ctx.numCores >= noOwner)
+        fatal("UCP: ", ctx.numCores, " cores exceed the owner byte");
     lastTouch.assign(
         static_cast<std::size_t>(ctx.numSets) * ctx.numWays, 0);
+    owner.assign(static_cast<std::size_t>(ctx.numSets) * ctx.numWays,
+                 noOwner);
+    coreWays.assign(ctx.numCores, 0);
     accessCount = 0;
 }
 
@@ -135,24 +141,29 @@ UcpPolicy::checkInvariants(const SetView &set, std::string &why) const
               std::to_string(context.numWays) + " ways";
         return false;
     }
-    for (std::uint32_t a = 0; a < set.ways(); ++a) {
-        if (!set.line(a).valid)
-            continue;
-        const Tick ta =
-            lastTouch[static_cast<std::size_t>(set.setIndex()) *
-                      context.numWays + a];
-        if (ta == 0) {
+    const Tick *stamps = &lastTouch[slot(set.setIndex(), 0)];
+    const std::uint8_t *owners = &owner[slot(set.setIndex(), 0)];
+    const std::uint64_t valid = set.validMask();
+    for (std::uint64_t v = valid; v != 0; v &= v - 1) {
+        const auto a = static_cast<std::uint32_t>(std::countr_zero(v));
+        if (owners[a] >= context.numCores) {
+            why = "valid line in way " + std::to_string(a) +
+                  " owned by core " + std::to_string(owners[a]) +
+                  " but only " + std::to_string(context.numCores) +
+                  " cores registered";
+            return false;
+        }
+        if (stamps[a] == 0) {
             why = "valid line in way " + std::to_string(a) +
                   " has no recency stamp";
             return false;
         }
-        for (std::uint32_t b = a + 1; b < set.ways(); ++b) {
-            if (set.line(b).valid &&
-                lastTouch[static_cast<std::size_t>(set.setIndex()) *
-                          context.numWays + b] == ta) {
+        for (std::uint64_t o = v & (v - 1); o != 0; o &= o - 1) {
+            const auto b = static_cast<std::uint32_t>(std::countr_zero(o));
+            if (stamps[b] == stamps[a]) {
                 why = "ways " + std::to_string(a) + " and " +
                       std::to_string(b) + " share recency stamp " +
-                      std::to_string(ta);
+                      std::to_string(stamps[a]);
                 return false;
             }
         }
@@ -163,45 +174,45 @@ UcpPolicy::checkInvariants(const SetView &set, std::string &why) const
 std::uint32_t
 UcpPolicy::victimWay(const SetView &set, const AccessInfo &info)
 {
-    // Count the requester's occupancy in this set.
-    std::vector<std::uint32_t> occ(context.numCores, 0);
-    for (std::uint32_t w = 0; w < set.ways(); ++w) {
-        const auto &line = set.line(w);
-        if (line.valid && line.coreId < context.numCores)
-            ++occ[line.coreId];
+    // Per-core way masks of the set; occupancy is their popcount.
+    const std::uint8_t *owners = &owner[slot(set.setIndex(), 0)];
+    const std::uint64_t valid = set.validMask();
+    std::fill(coreWays.begin(), coreWays.end(), std::uint64_t{0});
+    for (std::uint64_t v = valid; v != 0; v &= v - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(v));
+        if (owners[w] < context.numCores)
+            coreWays[owners[w]] |= std::uint64_t{1} << w;
     }
+    const auto occupancy = [&](CoreId c) {
+        return static_cast<std::uint32_t>(std::popcount(coreWays[c]));
+    };
 
     const CoreId me = info.coreId;
-    if (occ[me] < quota[me]) {
+    if (occupancy(me) < quota[me]) {
         // Someone must be over quota; take their LRU line.
-        const std::uint32_t v = lruAmong(set, [&](std::uint32_t w) {
-            const auto &line = set.line(w);
-            return line.valid && line.coreId < context.numCores &&
-                   occ[line.coreId] > quota[line.coreId];
-        });
+        std::uint64_t over = 0;
+        for (CoreId c = 0; c < context.numCores; ++c) {
+            if (occupancy(c) > quota[c])
+                over |= coreWays[c];
+        }
+        const std::uint32_t v = lruAmong(set, over);
         if (v != set.ways())
             return v;
         // Transient (e.g.\ right after repartitioning): fall through to
         // global LRU.
     }
     // At or above quota: replace within my own lines if I have any.
-    const std::uint32_t own = lruAmong(set, [&](std::uint32_t w) {
-        const auto &line = set.line(w);
-        return line.valid && line.coreId == me;
-    });
+    const std::uint32_t own = lruAmong(set, coreWays[me]);
     if (own != set.ways())
         return own;
-    return lruAmong(set, [&](std::uint32_t w) {
-        return set.line(w).valid;
-    });
+    return lruAmong(set, valid);
 }
 
 void
 UcpPolicy::onHit(const SetView &set, std::uint32_t way,
                  const AccessInfo &info)
 {
-    lastTouch[static_cast<std::size_t>(set.setIndex()) * context.numWays +
-              way] = info.tick;
+    lastTouch[slot(set.setIndex(), way)] = info.tick;
     observe(set, info);
 }
 
@@ -215,8 +226,8 @@ void
 UcpPolicy::onFill(const SetView &set, std::uint32_t way,
                   const AccessInfo &info)
 {
-    lastTouch[static_cast<std::size_t>(set.setIndex()) * context.numWays +
-              way] = info.tick;
+    lastTouch[slot(set.setIndex(), way)] = info.tick;
+    owner[slot(set.setIndex(), way)] = static_cast<std::uint8_t>(info.coreId);
 }
 
 } // namespace nucache

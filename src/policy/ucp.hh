@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/simd.hh"
 #include "mem/replacement.hh"
 #include "policy/atd.hh"
 
@@ -68,9 +69,10 @@ class UcpPolicy : public ReplacementPolicy
      * Quota compliance: the partition must stay well-formed (one
      * quota per core, each at least one way, summing exactly to the
      * associativity — anything else and the enforcement paths
-     * deadlock or leak ways), and the per-line recency stamps backing
-     * quota enforcement must be coherent (distinct, non-zero for
-     * valid lines).
+     * deadlock or leak ways), every valid line must be owned by a
+     * registered core (the owner column is what quotas are enforced
+     * over), and the per-line recency stamps backing quota enforcement
+     * must be coherent (distinct, non-zero for valid lines).
      */
     bool checkInvariants(const SetView &set,
                          std::string &why) const override;
@@ -78,38 +80,49 @@ class UcpPolicy : public ReplacementPolicy
     /** @return the current per-core way quotas (tests / reports). */
     const std::vector<std::uint32_t> &quotas() const { return quota; }
 
+    /** @return the core whose miss filled (set, way) (tests). */
+    CoreId
+    ownerOf(std::uint32_t set, std::uint32_t way) const
+    {
+        const std::uint8_t o = owner[slot(set, way)];
+        return o == noOwner ? invalidCore : o;
+    }
+
     /** Force a repartition now (tests). */
     void repartition();
 
   private:
+    /** Owner byte of a line no fill has claimed. */
+    static constexpr std::uint8_t noOwner = 0xff;
+
+    std::size_t
+    slot(std::uint32_t set, std::uint32_t way) const
+    {
+        return static_cast<std::size_t>(set) * context.numWays + way;
+    }
+
     /** Feed the access to the owning core's UMON. */
     void observe(const SetView &set, const AccessInfo &info);
 
-    /** LRU way among lines satisfying @p pred; ways() if none. */
-    template <typename Pred>
+    /**
+     * @return the LRU way among the ways in @p mask (the lowest way on
+     * a stamp tie); ways() if @p mask is empty.
+     */
     std::uint32_t
-    lruAmong(const SetView &set, Pred pred) const
+    lruAmong(const SetView &set, std::uint64_t mask) const
     {
-        std::uint32_t victim = set.ways();
-        Tick oldest = ~Tick{0};
-        for (std::uint32_t w = 0; w < set.ways(); ++w) {
-            if (!pred(w))
-                continue;
-            const Tick t =
-                lastTouch[static_cast<std::size_t>(set.setIndex()) *
-                          context.numWays + w];
-            if (t < oldest) {
-                oldest = t;
-                victim = w;
-            }
-        }
-        return victim;
+        return simd::minIndexMasked64(&lastTouch[slot(set.setIndex(), 0)],
+                                      set.ways(), mask);
     }
 
     UcpConfig cfg;
     std::vector<UtilityMonitor> monitors;
     std::vector<std::uint32_t> quota;
     std::vector<Tick> lastTouch;
+    /** Core that filled each line, one byte per (set, way). */
+    std::vector<std::uint8_t> owner;
+    /** victimWay's per-core way masks (sized once, by init). */
+    std::vector<std::uint64_t> coreWays;
     std::uint64_t accessCount = 0;
 };
 

@@ -79,11 +79,21 @@ nucacheConfigFrom(const std::map<std::string, std::string> &opts,
     return cfg;
 }
 
+/**
+ * Largest per-core victim board a spec may ask for.  Larger values
+ * would wrap the 32-bit entry count (board=4294967296 reads as 0) or
+ * allocate without bound.
+ */
+constexpr std::uint64_t kMaxBoardEntries = std::uint64_t{1} << 20;
+
 } // anonymous namespace
 
 std::unique_ptr<ReplacementPolicy>
 makePolicy(const std::string &spec)
 {
+    std::string err;
+    if (!validatePolicySpec(spec, err))
+        fatal(err);
     const auto [name, opts] = parseSpec(spec);
 
     if (name == "lru")
@@ -184,8 +194,22 @@ validatePolicySpec(const std::string &spec, std::string &err)
             err = "policy spec '" + spec + "': bad value '" + value + "'";
             return false;
         }
-        if (item.substr(0, eq) == "epoch" && std::stoull(value) == 0) {
-            err = "policy spec '" + spec + "': 'epoch' must be positive";
+        // Ranges whose violation would otherwise reach a fatal() or an
+        // undefined shift once the policy is built.
+        const std::string key = item.substr(0, eq);
+        const std::uint64_t n = std::stoull(value);
+        if ((key == "epoch" || key == "board") && n == 0) {
+            err = "policy spec '" + spec + "': '" + key +
+                  "' must be positive";
+            return false;
+        }
+        if (key == "board" && n > kMaxBoardEntries) {
+            err = "policy spec '" + spec + "': 'board' exceeds " +
+                  std::to_string(kMaxBoardEntries) + " entries";
+            return false;
+        }
+        if (key == "shift" && n >= 32) {
+            err = "policy spec '" + spec + "': 'shift' must be below 32";
             return false;
         }
         if (comma == std::string::npos)

@@ -24,16 +24,20 @@
 namespace nucache
 {
 
-/** @return a fresh policy instance for @p spec; fatal() on bad specs. */
+/**
+ * @return a fresh policy instance for @p spec; fatal() on any spec
+ * validatePolicySpec() rejects.
+ */
 std::unique_ptr<ReplacementPolicy> makePolicy(const std::string &spec);
 
 /**
  * Validate @p spec without ever exiting the process: the base name
  * must be a recognized policy, every option must be "key=digits"
- * with a value that fits in 64 bits, and an epoch length must be
- * non-zero.  A spec that passes, and that validatePolicyForLlc()
- * accepts for the run's LLC, is safe to hand to makePolicy() from a
- * server that must not fatal() on untrusted input.
+ * with a value that fits in 64 bits, an epoch length and a victim
+ * board must be non-zero, a board at most 2^20 entries, and a
+ * sampling shift below 32.  A spec that passes, and that
+ * validatePolicyForLlc() accepts for the run's LLC, is safe to hand to
+ * makePolicy() from a server that must not fatal() on untrusted input.
  * @param err on failure, filled with what was wrong.
  * @return whether @p spec is well-formed.
  */

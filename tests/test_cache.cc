@@ -168,23 +168,6 @@ TEST(Cache, FillsPreferInvalidWays)
     }
 }
 
-TEST(Cache, LineMetadataRecordsAllocator)
-{
-    Cache c = smallCache(2);
-    AccessInfo info = read(0x1000, 1, 0xabcd);
-    c.access(info);
-    const SetView view = c.viewSet(c.setIndexOf(0x1000));
-    bool found = false;
-    for (std::uint32_t w = 0; w < view.ways(); ++w) {
-        if (view.line(w).valid && view.line(w).tag == c.tagOf(0x1000)) {
-            EXPECT_EQ(view.line(w).pc, 0xabcdu);
-            EXPECT_EQ(view.line(w).coreId, 1u);
-            found = true;
-        }
-    }
-    EXPECT_TRUE(found);
-}
-
 TEST(Cache, ResetStatsKeepsContents)
 {
     Cache c = smallCache();

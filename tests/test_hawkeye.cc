@@ -105,6 +105,22 @@ TEST(Hawkeye, ProtectsFriendlyFromAverseFills)
     EXPECT_GT(static_cast<double>(hot_hits) / hot_accesses, 0.5);
 }
 
+/** Hawkeye's own PC column records the PC of every fill. */
+TEST(Hawkeye, PcColumnRecordsAllocatingPc)
+{
+    CacheConfig cfg{"h", 1ull * 4 * 64, 4, 64};
+    auto policy = std::make_unique<HawkeyePolicy>(fullSampling());
+    HawkeyePolicy *hk = policy.get();
+    Cache c(cfg, std::move(policy));
+    for (Addr b = 0; b < 4; ++b)
+        c.access(read(b * 64, 0x400000 + b * 4));
+    const SetView view = c.viewSet(0);
+    for (std::uint32_t w = 0; w < view.ways(); ++w) {
+        ASSERT_TRUE(view.line(w).valid);
+        EXPECT_EQ(hk->allocatingPc(0, w), 0x400000 + view.line(w).tag * 4);
+    }
+}
+
 TEST(Hawkeye, AccountingBalances)
 {
     CacheConfig cfg{"h", 16ull * 8 * 64, 8, 64};

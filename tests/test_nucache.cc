@@ -498,6 +498,27 @@ TEST_F(NUcacheStaleBits, AddedPcMainLruSacrificesOldestDeli)
     EXPECT_TRUE(nu->inDeliWays(0, 5));
 }
 
+/** NUcache's own PC column records the PC of every fill. */
+TEST(NUcache, PcColumnRecordsAllocatingPc)
+{
+    CacheConfig cfg{"n", 2ull * 8 * 64, 8, 64};
+    auto policy = std::make_unique<NUcachePolicy>(testConfig(5));
+    NUcachePolicy *nu = policy.get();
+    Cache c(cfg, std::move(policy), 2);
+    c.access(read(0x0, 0xabcd, 1));
+    c.access(read(0x80, 0x1234, 0));
+    const SetView view = c.viewSet(0);
+    std::uint32_t seen = 0;
+    for (std::uint32_t w = 0; w < view.ways(); ++w) {
+        if (!view.line(w).valid)
+            continue;
+        EXPECT_EQ(nu->allocatingPc(0, w),
+                  view.line(w).tag == c.tagOf(0x0) ? 0xabcdu : 0x1234u);
+        ++seen;
+    }
+    EXPECT_EQ(seen, 2u);
+}
+
 TEST(NUcache, NamesFollowMode)
 {
     EXPECT_EQ(NUcachePolicy(testConfig(4)).name(), "nucache");

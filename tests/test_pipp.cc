@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "mem/cache.hh"
 #include "policy/pipp.hh"
@@ -137,6 +138,83 @@ TEST(Pipp, LowAllocationCoreInsertsNearLru)
     // hits while the stream gets essentially nothing.
     EXPECT_GT(static_cast<double>(s0.hits) / s0.accesses, 0.45);
     EXPECT_LT(static_cast<double>(s1.hits) / s1.accesses, 0.05);
+}
+
+/** @return the way holding block @p block of a one-set cache. */
+std::uint32_t
+wayOf(const Cache &c, Addr block)
+{
+    const SetView view = c.viewSet(0);
+    for (std::uint32_t w = 0; w < view.ways(); ++w) {
+        if (view.line(w).valid && view.line(w).tag == block)
+            return w;
+    }
+    return view.ways();
+}
+
+TEST(Pipp, InvalidatedLinesLeaveTheOrderRowOnTheNextFill)
+{
+    // Cache::invalidate drops a line without telling the policy, so
+    // its way stays in the order row until the next fill compacts it.
+    CacheConfig cfg{"p", 1ull * 8 * 64, 8, 64};  // one set
+    PippConfig pcfg;
+    pcfg.promoteProb = 0.0;
+    auto policy = std::make_unique<PippPolicy>(pcfg);
+    PippPolicy *pipp = policy.get();
+    Cache c(cfg, std::move(policy), 1);
+    for (Addr b = 0; b < 8; ++b)
+        c.access(read(b * 64));
+    ASSERT_TRUE(c.invalidate(3 * 64));
+    ASSERT_TRUE(c.invalidate(5 * 64));
+
+    // Block 8 refills the first invalidated way; block 9 fills the
+    // other.  Each fill must leave an exact permutation of the valid
+    // ways (so the row never holds more than `ways` entries).
+    std::string why;
+    EXPECT_FALSE(c.access(read(8 * 64)).hit);
+    EXPECT_TRUE(pipp->checkInvariants(c.viewSet(0), why)) << why;
+    EXPECT_FALSE(c.access(read(9 * 64)).hit);
+    EXPECT_TRUE(pipp->checkInvariants(c.viewSet(0), why)) << why;
+    expectUniqueRanks(c, *pipp, 0);
+
+    // One core owns all 8 ways, so a fill inserts at min(7, count),
+    // where count holds only live lines: block 8 went in above the six
+    // survivors, block 9 above it.
+    EXPECT_EQ(pipp->rankOf(0, wayOf(c, 8)), 6u);
+    EXPECT_EQ(pipp->rankOf(0, wayOf(c, 9)), 7u);
+    EXPECT_EQ(pipp->rankOf(0, wayOf(c, 0)), 0u);
+    c.access(read(10 * 64));
+    EXPECT_FALSE(c.probe(0));
+    EXPECT_TRUE(pipp->checkInvariants(c.viewSet(0), why)) << why;
+}
+
+TEST(Pipp, OrderRowsSurviveInvalidationsUnderRandomTraffic)
+{
+    CacheConfig cfg{"p", 4ull * 8 * 64, 8, 64};  // 4 sets x 8 ways
+    PippConfig pcfg;
+    pcfg.epochAccesses = 300;
+    pcfg.sampleShift = 0;
+    auto policy = std::make_unique<PippPolicy>(pcfg);
+    PippPolicy *pipp = policy.get();
+    Cache c(cfg, std::move(policy), 2);
+
+    std::uint64_t x = 5;
+    std::string why;
+    for (int i = 0; i < 20000; ++i) {
+        x = x * 6364136223846793005ull + 1;
+        const Addr addr = ((x >> 16) % 96) * 64;
+        if ((x >> 60) < 3) {
+            c.invalidate(addr);
+            continue;
+        }
+        // A fill compacts every stale entry of its set; a hit leaves
+        // them in place (the victim path skips invalid ways).
+        if (!c.access(read(addr, (x >> 40) % 2)).hit) {
+            ASSERT_TRUE(
+                pipp->checkInvariants(c.viewSet(c.setIndexOf(addr)), why))
+                << "access " << i << ": " << why;
+        }
+    }
 }
 
 TEST(Pipp, AccountingBalances)

@@ -395,6 +395,14 @@ TEST(Protocol, ValidatePolicySpecMatchesFactoryGrammar)
         validatePolicySpec("nucache:dlimit=12345678901234567", err));
     EXPECT_FALSE(validatePolicySpec("nucache:epoch=0", err));
     EXPECT_TRUE(validatePolicySpec("nucache:epoch=1", err));
+    EXPECT_FALSE(validatePolicySpec("nucache:board=0", err));
+    EXPECT_TRUE(validatePolicySpec("nucache:board=1", err));
+    EXPECT_TRUE(validatePolicySpec("nucache:board=1048576", err));
+    EXPECT_FALSE(validatePolicySpec("nucache:board=1048577", err));
+    EXPECT_TRUE(validatePolicySpec("nucache:shift=31", err));
+    EXPECT_FALSE(validatePolicySpec("nucache:shift=32", err));
+    EXPECT_FALSE(validatePolicySpec("nucache:shift=64", err));
+    EXPECT_FALSE(validatePolicySpec("hawkeye:shift=64", err));
 
     EXPECT_FALSE(validatePolicyForLlc("nucache:d=16", 16, 2, err));
     EXPECT_TRUE(validatePolicyForLlc("nucache:d=15", 16, 2, err));

@@ -208,9 +208,11 @@ TEST_F(ServeTest, GarbageLineGetsErrorAndConnectionSurvives)
 }
 
 /**
- * Each policy spec here once made the daemon exit through fatal():
- * a zero epoch, and DeliWays filling mix2_01's 16-way LLC.  Each must
- * answer bad_request and leave the daemon serving.
+ * Each policy spec here once made the daemon exit through fatal() or
+ * run into undefined behaviour: a zero epoch, DeliWays filling
+ * mix2_01's 16-way LLC, an empty or a wrapping victim board, and a
+ * sampling shift at or past the word width.  Each must answer
+ * bad_request and leave the daemon serving.
  */
 class FatalSpecTest : public ServeTest,
                       public ::testing::WithParamInterface<const char *>
@@ -246,7 +248,12 @@ fatalSpecName(const ::testing::TestParamInfo<const char *> &info)
 
 INSTANTIATE_TEST_SUITE_P(Reproducers, FatalSpecTest,
                          ::testing::Values("nucache:epoch=0", "ucp:epoch=0",
-                                           "pipp:epoch=0", "nucache:d=16"),
+                                           "pipp:epoch=0", "nucache:d=16",
+                                           "nucache:board=0",
+                                           "nucache:board=4294967296",
+                                           "nucache:shift=64",
+                                           "nucache:shift=200",
+                                           "hawkeye:shift=40"),
                          fatalSpecName);
 
 TEST_F(ServeTest, OversizedLineIsRejectedAndClosed)

@@ -9,6 +9,7 @@
 #include <numeric>
 
 #include "mem/cache.hh"
+#include "mem/lru.hh"
 #include "policy/ucp.hh"
 
 namespace nucache
@@ -144,6 +145,47 @@ TEST(Ucp, QuotasSumToWays)
     for (const std::uint32_t q : ucp->quotas())
         sum += q;
     EXPECT_EQ(sum, 8u);
+}
+
+/**
+ * The owner byte UCP writes on every fill is the column its quotas are
+ * enforced over (the tag store no longer records the core), and its
+ * invariant check rejects a valid line owned by no registered core.
+ */
+TEST(Ucp, OwnerColumnRecordsAllocatingCore)
+{
+    CacheConfig cfg{"u", 4ull * 4 * 64, 4, 64};
+    auto policy = std::make_unique<UcpPolicy>();
+    UcpPolicy *ucp = policy.get();
+    Cache c(cfg, std::move(policy), 2);
+    c.access(read(0x1000, 1, 0xabcd));
+    c.access(read(0x2000, 0));
+    const std::uint32_t set = c.setIndexOf(0x1000);
+    const SetView view = c.viewSet(set);
+    std::uint32_t owned = 0;
+    for (std::uint32_t w = 0; w < view.ways(); ++w) {
+        if (!view.line(w).valid)
+            continue;
+        const Addr tag = view.line(w).tag;
+        EXPECT_EQ(ucp->ownerOf(set, w), tag == c.tagOf(0x1000) ? 1u : 0u);
+        ++owned;
+    }
+    EXPECT_EQ(owned, 2u);
+    std::string why;
+    EXPECT_TRUE(ucp->checkInvariants(view, why)) << why;
+
+    // A line the policy never saw filled has no registered owner.
+    CacheConfig one{"u", 1ull * 4 * 64, 4, 64};
+    UcpPolicy fresh;
+    Cache other(one, std::make_unique<LruPolicy>(), 2);
+    other.access(read(0x0, 0));
+    PolicyContext ctx;
+    ctx.numSets = 1;
+    ctx.numWays = 4;
+    ctx.numCores = 2;
+    fresh.init(ctx);
+    EXPECT_FALSE(fresh.checkInvariants(other.viewSet(0), why));
+    EXPECT_NE(why.find("cores registered"), std::string::npos) << why;
 }
 
 TEST(UcpDeathTest, NeedsWayPerCore)
