@@ -82,6 +82,17 @@ if "$client" --port="$port" --raw='this is not json' --compact; then
     echo "serve smoke: garbage line should answer an error" >&2
     exit 1
 fi
+# Specs outside the grammar: a SHiP table size the policy would exit
+# on, and a key NUcache does not have.
+for policy in 'ship:shct=0' 'nucache:foo=1'; do
+    if "$client" --port="$port" \
+        --raw="{\"op\":\"run_mix\",\"params\":{\"mix\":\"mix2_01\",\"records\":10000,\"policy\":\"$policy\"}}" \
+        --compact; then
+        echo "serve smoke: policy '$policy' should answer an error" >&2
+        exit 1
+    fi
+done
+"$client" --port="$port" --op=health --compact
 
 echo "== concurrent pipelined load bench"
 bench_out="$workdir/bench.txt"

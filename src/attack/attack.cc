@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/spec.hh"
 #include "mem/lru.hh"
 
 namespace nucache
@@ -24,20 +25,23 @@ constexpr std::uint64_t kPoolSpan = 1ull << 22;
 constexpr char kPrefix[] = "attack:";
 constexpr std::size_t kPrefixLen = sizeof(kPrefix) - 1;
 
-/** @return @p v parsed as decimal into @p out (strict, no empties). */
-bool
-parseDecimal(const std::string &v, std::uint64_t &out)
-{
-    if (v.empty())
-        return false;
-    out = 0;
-    for (const char c : v) {
-        if (c < '0' || c > '9')
-            return false;
-        out = out * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return true;
-}
+/** Defense names of `def=`, in IndexDefenseKind order. */
+constexpr std::string_view kDefenseWords[] = {"none", "rand",
+                                              "rand-dynamic"};
+constexpr spec::Key kAttackKeys[] = {
+    {"sets", 2, std::uint64_t{1} << 20},
+    {"ways", 1, 64},
+    {"def", 0, 0, kDefenseWords},
+    {"key"},
+    {"period", 1},
+    {"seed"},
+};
+static_assert(std::size(kAttackKeys) <= spec::kMaxKeys);
+/** The attack scenarios, in AttackScenario order. */
+constexpr spec::Family kScenarios[] = {
+    {"evset", kAttackKeys},
+    {"storm", kAttackKeys},
+};
 
 /**
  * Synthesizes one attack campaign into a record vector, replaying
@@ -306,109 +310,36 @@ tryParseAttackSpec(const std::string &name, AttackSpec &out,
         err = "not an attack workload name (no 'attack:' prefix)";
         return false;
     }
-    const std::string rest = name.substr(kPrefixLen);
-    std::string scenario = rest;
-    std::string params;
-    const std::size_t colon = rest.find(':');
-    if (colon != std::string::npos) {
-        scenario = rest.substr(0, colon);
-        params = rest.substr(colon + 1);
-    }
-    if (scenario == "evset") {
-        out.scenario = AttackScenario::EvictionSet;
-    } else if (scenario == "storm") {
-        out.scenario = AttackScenario::ConflictStorm;
-    } else {
-        err = "unknown attack scenario '" + scenario +
-            "' (expected evset or storm)";
+    spec::Spec parsed;
+    const spec::Family *row = spec::parse<spec::Family>(
+        std::string_view(name).substr(kPrefixLen), kScenarios,
+        "attack scenario", parsed, err);
+    if (row == nullptr)
+        return false;
+    out.name = kPrefix + parsed.canonical();
+    out.scenario = static_cast<AttackScenario>(row - kScenarios);
+    out.sets = static_cast<std::uint32_t>(parsed.get("sets", out.sets));
+    if ((out.sets & (out.sets - 1)) != 0) {
+        err = "sets must be a power of two in [2, 2^20]";
         return false;
     }
+    out.ways = static_cast<std::uint32_t>(parsed.get("ways", out.ways));
+    out.seed = parsed.get("seed", out.seed);
 
-    std::string def_name = "none";
-    std::uint64_t def_key = IndexDefenseConfig{}.key;
-    bool key_given = false;
-    std::uint64_t def_period = IndexDefenseConfig{}.period;
-    bool period_given = false;
-
-    std::size_t pos = 0;
-    while (pos < params.size()) {
-        std::size_t end = params.find(',', pos);
-        if (end == std::string::npos)
-            end = params.size();
-        const std::string pair = params.substr(pos, end - pos);
-        pos = end + 1;
-        const std::size_t eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0 || eq + 1 >= pair.size()) {
-            err = "malformed attack parameter '" + pair +
-                "' (expected key=value)";
-            return false;
-        }
-        const std::string k = pair.substr(0, eq);
-        const std::string v = pair.substr(eq + 1);
-        if (k == "def") {
-            if (v != "none" && v != "rand" && v != "rand-dynamic") {
-                err = "unknown defense '" + v +
-                    "' (expected none, rand or rand-dynamic)";
-                return false;
-            }
-            def_name = v;
-            continue;
-        }
-        std::uint64_t value = 0;
-        if (!parseDecimal(v, value)) {
-            err = "attack parameter '" + k +
-                "' needs a decimal value, got '" + v + "'";
-            return false;
-        }
-        if (k == "sets") {
-            if (value < 2 || value > (1u << 20) ||
-                (value & (value - 1)) != 0) {
-                err = "sets must be a power of two in [2, 2^20]";
-                return false;
-            }
-            out.sets = static_cast<std::uint32_t>(value);
-        } else if (k == "ways") {
-            if (value == 0 || value > 64) {
-                err = "ways must be in [1, 64]";
-                return false;
-            }
-            out.ways = static_cast<std::uint32_t>(value);
-        } else if (k == "key") {
-            def_key = value;
-            key_given = true;
-        } else if (k == "period") {
-            if (value == 0) {
-                err = "period must be nonzero";
-                return false;
-            }
-            def_period = value;
-            period_given = true;
-        } else if (k == "seed") {
-            out.seed = value;
-        } else {
-            err = "unknown attack parameter '" + k + "'";
-            return false;
-        }
+    // def selects the target's defense; key and period tune it.
+    out.defense.kind = static_cast<IndexDefenseKind>(parsed.get("def", 0));
+    if (!out.defense.enabled() &&
+        (parsed.has("key") || parsed.has("period"))) {
+        err = "key/period require def=rand or def=rand-dynamic";
+        return false;
     }
-
-    if (def_name == "none") {
-        if (key_given || period_given) {
-            err = "key/period require def=rand or def=rand-dynamic";
-            return false;
-        }
-        out.defense.kind = IndexDefenseKind::None;
-    } else if (def_name == "rand") {
-        if (period_given) {
-            err = "period requires def=rand-dynamic";
-            return false;
-        }
-        out.defense.kind = IndexDefenseKind::Rand;
-        out.defense.key = def_key;
-    } else {
-        out.defense.kind = IndexDefenseKind::RandDynamic;
-        out.defense.key = def_key;
-        out.defense.period = def_period;
+    if (out.defense.kind == IndexDefenseKind::Rand &&
+        parsed.has("period")) {
+        err = "period requires def=rand-dynamic";
+        return false;
     }
+    out.defense.key = parsed.get("key", out.defense.key);
+    out.defense.period = parsed.get("period", out.defense.period);
     return true;
 }
 

@@ -37,10 +37,12 @@
  * traffic primes the victim under kAttackSearchPc so it never
  * pollutes the measurement.
  *
- * Workload names: `attack:<scenario>[:key=value,...]` with scenarios
- * {evset, storm} and keys sets, ways, def (none|rand|rand-dynamic),
- * key, period, seed.  Parsed non-fatally for the server's never-fatal
- * request validation.
+ * Workload names: `attack:<scenario>[:key=value,...]` in the grammar
+ * of common/spec.hh, with scenarios {evset, storm} and keys sets (a
+ * power of two in [2, 2^20]), ways (in [1, 64]), def
+ * (none|rand|rand-dynamic), key and period (>= 1) of the defense, and
+ * seed.  key needs a def, period needs def=rand-dynamic.  Parsed
+ * non-fatally for the server's never-fatal request validation.
  */
 
 #ifndef NUCACHE_ATTACK_ATTACK_HH
@@ -78,7 +80,8 @@ enum class AttackScenario
 /** Parsed attack workload specification. */
 struct AttackSpec
 {
-    /** Canonical full workload name ("attack:..."). */
+    /** Canonical full workload name ("attack:...", keys in table
+     *  order). */
     std::string name = "attack:evset";
     AttackScenario scenario = AttackScenario::EvictionSet;
     /**

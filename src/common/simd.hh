@@ -6,16 +6,16 @@
  * (findWay) and the min-stamp victim scans of the recency-ordered
  * policies (true LRU and DIP/TADIP over the whole set; DIP/TADIP's
  * LRU insertion, UCP and NUcache's MainWays and DeliWays over a way
- * mask).  The unmasked ones are packed 64-bit lane operations that
- * GCC cannot auto-vectorize from their scalar form (the bitmask
- * accumulation and first-min-index reductions have no recognized
- * idiom), and baseline x86-64 (SSE2) lacks 64-bit lane compares
- * anyway.  So each is written once per ISA level with intrinsics and
- * selected once at static-initialization time via
- * `__builtin_cpu_supports` — the binary stays portable and
- * non-x86/non-GNU builds keep the scalar fallback.  The masked minimum
- * has one implementation on every host, a walk of the mask's set bits:
- * an AVX-512 register fold measured no faster on the policies' masks.
+ * mask).  The equality scan is a packed 64-bit lane operation that
+ * GCC cannot auto-vectorize from its scalar form (the bitmask
+ * accumulation has no recognized idiom), and baseline x86-64 (SSE2)
+ * lacks 64-bit lane compares anyway.  So it is written once per ISA
+ * level with intrinsics and selected once at static-initialization
+ * time via `__builtin_cpu_supports` — the binary stays portable and
+ * non-x86/non-GNU builds keep the scalar fallback.  Both minimum scans
+ * have one implementation on every host: the plain loop and a walk of
+ * the mask's set bits.  AVX-512 versions of each measured slower than
+ * these on the policies' rows and masks.
  *
  * Semantics are bit-exact with the scalar loops: lowest index wins on
  * every tie, so replacing a call site never changes simulated results
@@ -53,7 +53,7 @@ eqMask64Scalar(const std::uint64_t *row, std::uint32_t n,
 
 /** Index of the first (lowest-index) minimum of row[0..n), n >= 1. */
 inline std::uint32_t
-minIndex64Scalar(const std::uint64_t *row, std::uint32_t n)
+minIndex64(const std::uint64_t *row, std::uint32_t n)
 {
     std::uint32_t best = 0;
     std::uint64_t lowest = row[0];
@@ -140,42 +140,8 @@ eqMask64Avx2(const std::uint64_t *row, std::uint32_t n,
     return eq;
 }
 
-__attribute__((target("avx512f"))) inline std::uint32_t
-minIndex64Avx512(const std::uint64_t *row, std::uint32_t n)
-{
-    // Pass 1: the minimum value (missing tail lanes read as all-ones,
-    // the identity of unsigned min).  Pass 2: its first index.  The
-    // explicit-merge masked intrinsics are deliberate: the unmasked
-    // forms route through _mm512_undefined_epi32, whose `__Y = __Y`
-    // idiom trips -Wmaybe-uninitialized under -O2 (GCC PR105593).
-    const __m512i ones = _mm512_set1_epi64(-1);
-    const __mmask8 all = static_cast<__mmask8>(0xff);
-    __m512i acc = ones;
-    std::uint32_t w = 0;
-    for (; w + 8 <= n; w += 8) {
-        const __m512i v =
-            _mm512_loadu_si512(reinterpret_cast<const void *>(row + w));
-        acc = _mm512_mask_min_epu64(acc, all, acc, v);
-    }
-    if (w < n) {
-        const __mmask8 tail =
-            static_cast<__mmask8>((1u << (n - w)) - 1u);
-        const __m512i v = _mm512_mask_loadu_epi64(ones, tail, row + w);
-        acc = _mm512_mask_min_epu64(acc, all, acc, v);
-    }
-    alignas(64) std::uint64_t lanes[8];
-    _mm512_store_si512(reinterpret_cast<void *>(lanes), acc);
-    std::uint64_t lowest = lanes[0];
-    for (int i = 1; i < 8; ++i)
-        lowest = lanes[i] < lowest ? lanes[i] : lowest;
-    const std::uint64_t at = eqMask64Avx512(row, n, lowest);
-    return static_cast<std::uint32_t>(__builtin_ctzll(at));
-}
-
 using EqMask64Fn = std::uint64_t (*)(const std::uint64_t *,
                                      std::uint32_t, std::uint64_t);
-using MinIndex64Fn = std::uint32_t (*)(const std::uint64_t *,
-                                       std::uint32_t);
 
 inline EqMask64Fn
 pickEqMask64()
@@ -187,16 +153,7 @@ pickEqMask64()
     return eqMask64Scalar;
 }
 
-inline MinIndex64Fn
-pickMinIndex64()
-{
-    if (__builtin_cpu_supports("avx512f"))
-        return minIndex64Avx512;
-    return minIndex64Scalar;
-}
-
 inline const EqMask64Fn eqMask64Impl = pickEqMask64();
-inline const MinIndex64Fn minIndex64Impl = pickMinIndex64();
 
 /** @return bit w set iff row[w] == key; best ISA for this host. */
 inline std::uint64_t
@@ -205,25 +162,12 @@ eqMask64(const std::uint64_t *row, std::uint32_t n, std::uint64_t key)
     return eqMask64Impl(row, n, key);
 }
 
-/** @return first index of the minimum; best ISA for this host. */
-inline std::uint32_t
-minIndex64(const std::uint64_t *row, std::uint32_t n)
-{
-    return minIndex64Impl(row, n);
-}
-
 #else // !NUCACHE_SIMD_DISPATCH
 
 inline std::uint64_t
 eqMask64(const std::uint64_t *row, std::uint32_t n, std::uint64_t key)
 {
     return eqMask64Scalar(row, n, key);
-}
-
-inline std::uint32_t
-minIndex64(const std::uint64_t *row, std::uint32_t n)
-{
-    return minIndex64Scalar(row, n);
 }
 
 #endif // NUCACHE_SIMD_DISPATCH

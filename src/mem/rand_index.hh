@@ -17,9 +17,9 @@
  * follow from the run's serial access order alone (the defended rows
  * of tests/test_integration.cc's golden digests pin them).
  *
- * Spec grammar (parsed non-fatally for the server's never-fatal
- * request validation): `none`, `rand[:key=N]`, or
- * `rand-dynamic[:key=N][,period=N]` with decimal values.
+ * Spec grammar (common/spec.hh, parsed non-fatally for the server's
+ * never-fatal request validation): `none`, `rand[:key=N]`, or
+ * `rand-dynamic[:key=N][,period=N]` with decimal values, period >= 1.
  */
 
 #ifndef NUCACHE_MEM_RAND_INDEX_HH
@@ -29,6 +29,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/spec.hh"
 #include "mem/cache_line.hh"
 
 namespace nucache
@@ -57,21 +58,11 @@ struct IndexDefenseConfig
     /** @return whether any scrambling is active. */
     bool enabled() const { return kind != IndexDefenseKind::None; }
 
-    /** @return the canonical spec string (round-trips the parse). */
-    std::string
-    spec() const
-    {
-        switch (kind) {
-        case IndexDefenseKind::None:
-            return "none";
-        case IndexDefenseKind::Rand:
-            return "rand:key=" + std::to_string(key);
-        case IndexDefenseKind::RandDynamic:
-            return "rand-dynamic:key=" + std::to_string(key) +
-                ",period=" + std::to_string(period);
-        }
-        return "none";
-    }
+    /**
+     * @return the canonical spec string with every key of the kind
+     * spelled out, defaults included (round-trips the parse).
+     */
+    std::string spec() const;
 };
 
 /**
@@ -105,85 +96,45 @@ epochKeyOf(std::uint64_t master_key, std::uint64_t epoch)
     return x ^ (x >> 31);
 }
 
+/** The defense families, in IndexDefenseKind order. */
+inline constexpr spec::Key kDefenseKeys[] = {{"key"}, {"period", 1}};
+inline constexpr spec::Family kDefenseFamilies[] = {
+    {"none"},
+    {"rand", std::span(kDefenseKeys, 1)},
+    {"rand-dynamic", kDefenseKeys},
+};
+
+inline std::string
+IndexDefenseConfig::spec() const
+{
+    const spec::Family &family =
+        kDefenseFamilies[static_cast<std::size_t>(kind)];
+    const std::uint32_t all = (1u << family.keys.size()) - 1;
+    return spec::Spec{&family, {key, period}, all}.canonical();
+}
+
 /**
- * Parse a defense spec without dying: unknown names, malformed
- * key=value pairs and zero periods all land in @p err.  The server's
- * request validation (never fatal on client bytes) funnels through
- * here.
- * @return true and fill @p out iff @p spec is well-formed.
+ * Parse a defense spec without dying: unknown names and keys,
+ * malformed key=value pairs and zero periods all land in @p err; an
+ * empty text is `none`.  The server's request validation (never fatal
+ * on client bytes) funnels through here.
+ * @return true and fill @p out iff @p text is well-formed.
  */
 inline bool
-tryParseIndexDefense(const std::string &spec, IndexDefenseConfig &out,
+tryParseIndexDefense(const std::string &text, IndexDefenseConfig &out,
                      std::string &err)
 {
     out = IndexDefenseConfig{};
-    std::string head = spec;
-    std::string params;
-    const std::size_t colon = spec.find(':');
-    if (colon != std::string::npos) {
-        head = spec.substr(0, colon);
-        params = spec.substr(colon + 1);
-    }
-    if (head.empty() || head == "none") {
-        if (!params.empty()) {
-            err = "defense 'none' takes no parameters";
-            return false;
-        }
-        out.kind = IndexDefenseKind::None;
+    if (text.empty())
         return true;
-    }
-    if (head == "rand") {
-        out.kind = IndexDefenseKind::Rand;
-    } else if (head == "rand-dynamic") {
-        out.kind = IndexDefenseKind::RandDynamic;
-    } else {
-        err = "unknown index defense '" + head +
-            "' (expected none, rand or rand-dynamic)";
+    spec::Spec parsed;
+    const spec::Family *row = spec::parse<spec::Family>(
+        text, kDefenseFamilies, "index defense", parsed, err);
+    if (row == nullptr)
         return false;
-    }
-    // key=N,period=N — decimal values only, every key known.
-    std::size_t pos = 0;
-    while (pos < params.size()) {
-        std::size_t end = params.find(',', pos);
-        if (end == std::string::npos)
-            end = params.size();
-        const std::string pair = params.substr(pos, end - pos);
-        pos = end + 1;
-        const std::size_t eq = pair.find('=');
-        if (eq == std::string::npos || eq == 0 ||
-            eq + 1 >= pair.size()) {
-            err = "malformed defense parameter '" + pair +
-                "' (expected key=value)";
-            return false;
-        }
-        const std::string k = pair.substr(0, eq);
-        const std::string v = pair.substr(eq + 1);
-        std::uint64_t value = 0;
-        for (const char c : v) {
-            if (c < '0' || c > '9') {
-                err = "defense parameter '" + k +
-                    "' needs a decimal value, got '" + v + "'";
-                return false;
-            }
-            value = value * 10 + static_cast<std::uint64_t>(c - '0');
-        }
-        if (k == "key") {
-            out.key = value;
-        } else if (k == "period") {
-            if (out.kind != IndexDefenseKind::RandDynamic) {
-                err = "'period' only applies to rand-dynamic";
-                return false;
-            }
-            if (value == 0) {
-                err = "defense period must be nonzero";
-                return false;
-            }
-            out.period = value;
-        } else {
-            err = "unknown defense parameter '" + k + "'";
-            return false;
-        }
-    }
+    out.kind = static_cast<IndexDefenseKind>(row - kDefenseFamilies);
+    out.key = parsed.get("key", out.key);
+    out.period = parsed.get("period", out.period);
     return true;
 }
 

@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "policy/ucp.hh"
 #include "sim/metrics.hh"
+#include "sim/policies.hh"
 
 namespace nucache::model
 {
@@ -32,6 +33,16 @@ constexpr double kMaxDramUtil = 0.95;
 constexpr std::size_t kDeliCandidatesPerCore = 8;
 constexpr std::size_t kDeliMaxSelected = 16;
 
+/** Policy families the analytical model covers. */
+enum class PolicyFamily
+{
+    Lru,
+    Nru,
+    NUcache,
+    Ucp,
+    Pipp,
+};
+
 /** Resolved policy family plus its NUcache knobs. */
 struct FamilySpec
 {
@@ -43,11 +54,10 @@ struct FamilySpec
 };
 
 bool
-resolveFamily(const std::string &spec, FamilySpec &out,
+resolveFamily(const spec::Spec &policy, FamilySpec &out,
               std::string &err)
 {
-    const auto colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
+    const std::string_view name = policy.family->name;
     if (name == "lru") {
         out.family = PolicyFamily::Lru;
     } else if (name == "nru") {
@@ -60,31 +70,14 @@ resolveFamily(const std::string &spec, FamilySpec &out,
                name == "nucache-all" || name == "nucache-none") {
         out.family = PolicyFamily::NUcache;
         out.deliAdmission = name != "nucache-none";
+        // Honour the d= DeliWays override; every other key tunes
+        // monitoring detail the model does not resolve.
+        out.deliWays = static_cast<std::uint32_t>(policy.get("d", 0));
     } else {
-        err = "policy family '" + name +
+        err = "policy family '" + std::string(name) +
               "' is outside the estimate tier (modeled: lru, nru, "
               "ucp, pipp, nucache*)";
         return false;
-    }
-    if (colon != std::string::npos &&
-        out.family == PolicyFamily::NUcache) {
-        // Honour the d= DeliWays override; every other option tunes
-        // monitoring detail the model does not resolve.
-        std::string rest = spec.substr(colon + 1);
-        std::size_t pos = 0;
-        while (pos < rest.size()) {
-            const std::size_t comma = rest.find(',', pos);
-            const std::string opt =
-                rest.substr(pos, comma == std::string::npos
-                                     ? std::string::npos
-                                     : comma - pos);
-            if (opt.rfind("d=", 0) == 0)
-                out.deliWays = static_cast<std::uint32_t>(
-                    std::strtoul(opt.c_str() + 2, nullptr, 10));
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
     }
     return true;
 }
@@ -528,21 +521,10 @@ aloneIpcEstimate(const WorkloadProfile &p, double capacity_blocks,
 } // anonymous namespace
 
 bool
-policyFamilyOf(const std::string &policy_spec, PolicyFamily &out,
-               std::string &err)
+estimateSupported(const spec::Spec &policy, std::string &err)
 {
-    FamilySpec spec;
-    if (!resolveFamily(policy_spec, spec, err))
-        return false;
-    out = spec.family;
-    return true;
-}
-
-bool
-estimateSupported(const std::string &policy_spec, std::string &err)
-{
-    PolicyFamily family;
-    return policyFamilyOf(policy_spec, family, err);
+    FamilySpec family;
+    return resolveFamily(policy, family, err);
 }
 
 MixEstimate
@@ -550,9 +532,11 @@ estimateMix(const std::vector<ProfilePtr> &profiles,
             const HierarchyConfig &hier,
             const std::string &policy_spec)
 {
+    spec::Spec policy;
     FamilySpec spec;
     std::string err;
-    if (!resolveFamily(policy_spec, spec, err))
+    if (!parsePolicySpec(policy_spec, policy, err) ||
+        !resolveFamily(policy, spec, err))
         fatal("estimateMix: ", err);
     if (profiles.empty())
         fatal("estimateMix: no profiles");

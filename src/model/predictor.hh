@@ -54,35 +54,20 @@
 #include <string>
 #include <vector>
 
+#include "common/spec.hh"
 #include "mem/hierarchy.hh"
 #include "model/profile.hh"
 
 namespace nucache::model
 {
 
-/** Policy families the analytical model covers. */
-enum class PolicyFamily
-{
-    Lru,
-    Nru,
-    NUcache,
-    Ucp,
-    Pipp,
-};
-
 /**
- * Resolve the estimate-tier policy family of @p policy_spec.
- * Accepts the spec grammar of sim/policies.hh; every nucache variant
- * maps to PolicyFamily::NUcache (with its `d=` option honoured).
+ * Can the estimate tier model @p policy (parsed by parsePolicySpec)?
+ * Every nucache variant but nucache-adaptive is one NUcache family
+ * (its `d=` key honoured).
  * @param err on failure, names the unsupported family.
- * @return whether the estimate tier can model @p policy_spec.
  */
-bool policyFamilyOf(const std::string &policy_spec, PolicyFamily &out,
-                    std::string &err);
-
-/** Convenience wrapper: can the estimate tier model @p policy_spec? */
-bool estimateSupported(const std::string &policy_spec,
-                       std::string &err);
+bool estimateSupported(const spec::Spec &policy, std::string &err);
 
 /** Per-core output of the model. */
 struct CoreEstimate

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "attack/attack.hh"
 #include "common/bitutil.hh"
 #include "mem/rand_index.hh"
 #include "model/predictor.hh"
@@ -84,8 +85,12 @@ parseRunParams(const Json &params, Request &out, std::string &err)
         }
         out.policy = policy->asString();
     }
-    if (!validatePolicySpec(out.policy, err))
+    // Parsed once; every later stage (cache key, engine, estimate
+    // tier, the echoed "policy") sees the canonical spelling.
+    spec::Spec parsed;
+    if (!parsePolicySpec(out.policy, parsed, err))
         return false;
+    out.policy = parsed.canonical();
 
     bool present = false;
     if (!readUint(params, "records", out.records, present, err))
@@ -197,7 +202,7 @@ parseRunParams(const Json &params, Request &out, std::string &err)
                   "(the model does not simulate index randomization)";
             return false;
         }
-        if (!model::estimateSupported(out.policy, err))
+        if (!model::estimateSupported(parsed, err))
             return false;
     }
 
@@ -206,7 +211,7 @@ parseRunParams(const Json &params, Request &out, std::string &err)
     // reject here instead.
     const HierarchyConfig hier = requestHierarchy(out);
     return validGeometry(hier, err) &&
-        validatePolicyForLlc(out.policy, hier.llc.ways, hier.numCores, err);
+        validatePolicyForLlc(parsed, hier.llc.ways, hier.numCores, err);
 }
 
 bool
@@ -237,14 +242,24 @@ parseRunMixParams(const Json &params, Request &out, std::string &err)
         }
         std::string name = "adhoc";
         for (const Json &w : workloads->elements()) {
-            if (!w.isString() || !isWorkloadName(w.asString())) {
-                err = "unknown workload" +
-                      (w.isString() ? " '" + w.asString() + "'"
-                                    : std::string(" (non-string)"));
+            if (!w.isString()) {
+                err = "unknown workload (non-string)";
                 return false;
             }
-            out.mix.workloads.push_back(w.asString());
-            name += ":" + w.asString();
+            std::string workload = w.asString();
+            if (isAttackName(workload)) {
+                AttackSpec attack;
+                if (!tryParseAttackSpec(workload, attack, err)) {
+                    err = "workload '" + workload + "': " + err;
+                    return false;
+                }
+                workload = attack.name;
+            } else if (!isWorkloadName(workload)) {
+                err = "unknown workload '" + workload + "'";
+                return false;
+            }
+            out.mix.workloads.push_back(workload);
+            name += ":" + workload;
         }
         out.mix.name = name;
     }

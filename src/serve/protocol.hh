@@ -26,7 +26,8 @@
  * run_mix params:  {"workloads": ["loop_medium", "stream_pure"]} or
  *                  {"mix": "mix2_01"} (a canonical 2/4/8-core mix),
  *                  plus optional "policy" (spec grammar of
- *                  sim/policies.hh, default "nucache"), "records",
+ *                  sim/policies.hh, default "nucache"; results echo
+ *                  its canonical spelling), "records",
  *                  "llc_kib", "llc_ways", "telemetry" (sampling
  *                  stride; attaches the nucache-telemetry/v1 doc),
  *                  "stream" (with telemetry: deliver the run as
@@ -149,14 +150,15 @@ struct Request
     WorkloadMix mix;
     /** run_trace: server-side trace file paths, one per core. */
     std::vector<std::string> tracePaths;
-    /** run_mix / run_trace: policy spec (validated, non-fatal). */
+    /** run_mix / run_trace: policy spec, in its canonical spelling. */
     std::string policy = "nucache";
     /** Measurement window per core; 0 = server default. */
     std::uint64_t records = 0;
     /** LLC geometry overrides; 0 = canonical for the core count. */
     std::uint64_t llcKib = 0;
     std::uint32_t llcWays = 0;
-    /** Randomized-index defense spec; empty = plain indexing. */
+    /** Randomized-index defense spec, canonical (every key spelled
+     *  out); empty = plain indexing. */
     std::string llcDefense;
     /** Telemetry sampling stride; 0 = no telemetry attachment. */
     std::uint64_t telemetry = 0;
@@ -176,7 +178,9 @@ struct Request
  * workload/mix names, malformed policy specs, out-of-range records
  * and impossible LLC geometries are all rejected here, before any
  * simulation object is built — makePolicy()/System would fatal() on
- * them.
+ * them.  Policy, defense and attack specs are parsed once and stored
+ * in their canonical spellings, so equal configurations share one
+ * cache key.
  * @param err on failure, a human-readable reason.
  * @return whether @p out holds a valid request.
  */

@@ -75,6 +75,9 @@ TEST(IndexDefense, RejectsMalformedSpecs)
     EXPECT_FALSE(tryParseIndexDefense("rand:key", cfg, err));
     EXPECT_FALSE(tryParseIndexDefense("rand:=5", cfg, err));
     EXPECT_FALSE(tryParseIndexDefense("rand:bogus=5", cfg, err));
+    // 2^64 + 1 used to wrap silently to key 1.
+    EXPECT_FALSE(
+        tryParseIndexDefense("rand:key=18446744073709551617", cfg, err));
     EXPECT_FALSE(err.empty());
 }
 
@@ -215,6 +218,8 @@ TEST(AttackSpec, RejectsMalformedNames)
         tryParseAttackSpec("attack:evset:def=ceaser", spec, err));
     EXPECT_FALSE(tryParseAttackSpec("attack:evset:sets", spec, err));
     EXPECT_FALSE(tryParseAttackSpec("attack:evset:seed=x", spec, err));
+    EXPECT_FALSE(tryParseAttackSpec(
+        "attack:evset:seed=18446744073709551617", spec, err));
     EXPECT_FALSE(err.empty());
 }
 

@@ -3,14 +3,16 @@
  * Randomized robustness sweep: every policy driven over randomized
  * cache geometries and access streams, checking only the global
  * invariants (no crash, accounting balances, results deterministic) —
- * plus deterministic input fuzzers for the trace parsers and the CLI
- * parser (any byte stream must parse or fail cleanly, never crash,
- * hang, or over-allocate).  This is the net under the whole policy zoo
+ * plus deterministic input fuzzers for the trace parsers, the spec
+ * grammar (policies, defenses, attack names) and the CLI parser (any
+ * byte stream must parse or fail cleanly, never crash, hang, or
+ * over-allocate).  This is the net under the whole policy zoo
  * and every parser that touches untrusted bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
 #include "attack/attack.hh"
@@ -228,71 +230,215 @@ TEST(TraceFuzz, TextMutationsParseOrFailCleanly)
     }
 }
 
+/** Characters the spec fuzzers splice in as noise. */
+constexpr char kSpecNoise[] = "abcdefghijklmnopqrstuvwxyz0123456789-=_,:. ";
+
+/** @return a random decimal: small, long, leading zeros or empty. */
+std::string
+randomValue(Rng &rng)
+{
+    switch (rng.below(6)) {
+      case 0:
+        return std::to_string(rng.below(70));
+      case 1:
+        return "0" + std::to_string(rng.below(40));
+      case 2:
+        return std::to_string(rng.below(std::uint64_t{1} << 21));
+      case 3: {
+        // Up to 21 digits: past 2^64 - 1 about half the time.
+        std::string v(1 + rng.below(21), '0');
+        for (char &c : v)
+            c = static_cast<char>('0' + rng.below(10));
+        return v;
+      }
+      case 4:
+        return rng.chance(0.5) ? "18446744073709551615"
+                               : "18446744073709551617";
+      default: {
+        static const char *const words[] = {"none", "rand", "rand-dynamic",
+                                            "x", ""};
+        return words[rng.below(5)];
+      }
+    }
+}
+
+/**
+ * @return a random spec over @p families and @p keys: mostly
+ * family:key=value,... built from the vocabulary, with duplicate and
+ * foreign keys, malformed items and noise bytes mixed in.
+ */
+std::string
+randomSpec(Rng &rng, const std::vector<std::string> &families,
+           const std::vector<std::string> &keys)
+{
+    std::string s = rng.chance(0.9) ? families[rng.below(families.size())]
+                                    : std::string();
+    const std::size_t items = rng.below(4);
+    for (std::size_t i = 0; i < items; ++i) {
+        s += i == 0 ? ':' : ',';
+        if (rng.chance(0.05))
+            continue;  // empty item
+        s += keys[rng.below(keys.size())];
+        if (rng.chance(0.95))
+            s += "=" + randomValue(rng);
+    }
+    const std::size_t noise = rng.chance(0.25) ? rng.between(1, 3) : 0;
+    for (std::size_t n = 0; n < noise; ++n) {
+        const char c = kSpecNoise[rng.below(sizeof(kSpecNoise) - 1)];
+        if (!s.empty() && rng.chance(0.5))
+            s[rng.below(s.size())] = c;
+        else
+            s += c;
+    }
+    return s;
+}
+
+/** Every key any family declares, plus some no family does. */
+const std::vector<std::string> kFuzzKeys = {
+    "d",    "epoch", "topk", "pool", "maxsel", "board", "shift", "shct",
+    "sets", "ways",  "def",  "key",  "period", "seed",  "foo",   "dlimit"};
+
+/**
+ * The keys README.md documents for each policy family, with their
+ * ranges; a family missing here takes no keys.
+ */
+/** Documented [min, max] of each key of one family. */
+using KeyRanges =
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>;
+
+const std::map<std::string, KeyRanges> kPolicyKeyRanges = [] {
+    const std::uint64_t u32 = 0xffffffffu;
+    const std::uint64_t u64 = ~std::uint64_t{0};
+    std::map<std::string, KeyRanges> m;
+    for (const char *f : {"nucache", "nucache-adaptive", "nucache-topk",
+                          "nucache-all", "nucache-none"}) {
+        m[f] = {{"d", {0, u32}},      {"epoch", {1, u64}},
+                {"topk", {0, u32}},   {"pool", {0, u32}},
+                {"maxsel", {0, u32}}, {"board", {1, 1u << 20}},
+                {"shift", {0, 31}}};
+    }
+    m["ucp"] = m["pipp"] = {{"epoch", {1, u64}}};
+    m["hawkeye"] = {{"shift", {0, 31}}};
+    m["ship"] = {{"shct", {1, 24}}};
+    return m;
+}();
+
+/**
+ * Policy-spec fuzzer: random strings through parsePolicySpec, the
+ * never-fatal entry point the server validates untrusted specs with.
+ * A rejection must say why.  An accepted spec must keep its canonical
+ * spelling through a second parse, build through the fatal
+ * makePolicy(), and hold only the keys and ranges its family documents.
+ */
+TEST(SpecFuzz, RandomPolicySpecsParseOrFailCleanly)
+{
+    Rng rng(0x5bec5eed);
+    std::vector<std::string> families = allPolicyNames();
+    families.push_back("nope");
+    std::size_t accepted = 0;
+    for (int iter = 0; iter < 6000; ++iter) {
+        const std::string text = randomSpec(rng, families, kFuzzKeys);
+        spec::Spec parsed;
+        std::string err;
+        if (!parsePolicySpec(text, parsed, err)) {
+            ASSERT_FALSE(err.empty()) << text;
+            continue;
+        }
+        ++accepted;
+        const std::string canonical = parsed.canonical();
+        spec::Spec again;
+        ASSERT_TRUE(parsePolicySpec(canonical, again, err)) << err;
+        ASSERT_EQ(again.canonical(), canonical) << text;
+        ASSERT_NE(makePolicy(text), nullptr) << text;
+
+        const std::string family(parsed.family->name);
+        const auto ranges = kPolicyKeyRanges.find(family);
+        for (std::size_t i = 0; i < parsed.family->keys.size(); ++i) {
+            const std::string key(parsed.family->keys[i].name);
+            ASSERT_NE(ranges, kPolicyKeyRanges.end()) << family;
+            const auto range = ranges->second.find(key);
+            ASSERT_NE(range, ranges->second.end()) << family << ":" << key;
+            if (!parsed.has(key))
+                continue;
+            ASSERT_GE(parsed.values[i], range->second.first) << text;
+            ASSERT_LE(parsed.values[i], range->second.second) << text;
+        }
+    }
+    // The vocabulary must reach the accepting side, not just errors.
+    EXPECT_GT(accepted, 1000u);
+}
+
+/**
+ * Defense-spec fuzzer: the same contract for the rand_index grammar.
+ * Every accepted spec's canonical rendering round-trips and builds
+ * through the fatal parseIndexDefense().
+ */
+TEST(SpecFuzz, RandomDefenseSpecsParseOrFailCleanly)
+{
+    Rng rng(0xdef5eed);
+    const std::vector<std::string> families = {"none", "rand",
+                                               "rand-dynamic", "ceaser"};
+    std::size_t accepted = 0;
+    for (int iter = 0; iter < 8000; ++iter) {
+        const std::string text = randomSpec(rng, families, kFuzzKeys);
+        IndexDefenseConfig cfg;
+        std::string err;
+        if (!tryParseIndexDefense(text, cfg, err)) {
+            ASSERT_FALSE(err.empty()) << text;
+            continue;
+        }
+        ++accepted;
+        if (cfg.kind == IndexDefenseKind::RandDynamic) {
+            ASSERT_GT(cfg.period, 0u);
+        }
+        // The canonical rendering must round-trip.
+        IndexDefenseConfig again;
+        ASSERT_TRUE(tryParseIndexDefense(cfg.spec(), again, err)) << err;
+        ASSERT_EQ(again.spec(), cfg.spec());
+        ASSERT_EQ(parseIndexDefense(text).spec(), cfg.spec());
+    }
+    EXPECT_GT(accepted, 1000u);
+}
+
 /**
  * Attack-name fuzzer: random parameter strings after the attack:
  * prefix must parse or be rejected with a reason — never crash or
  * fatal().  The server's workload validation funnels untrusted names
  * through tryParseAttackSpec, so this is a hostile-input surface.
  */
-TEST(AttackFuzz, RandomNamesParseOrFailCleanly)
+TEST(SpecFuzz, RandomAttackNamesParseOrFailCleanly)
 {
     Rng rng(0xa77ac5eed);
-    const char charset[] =
-        "abcdefghijklmnopqrstuvwxyz0123456789-=_,:. ";
+    const std::vector<std::string> families = {"evset", "storm", "bogus"};
+    std::size_t accepted = 0;
     for (int iter = 0; iter < 8000; ++iter) {
-        std::string name = "attack:";
-        if (rng.chance(0.5))
-            name += rng.chance(0.5) ? "evset" : "storm";
-        const std::size_t len = rng.below(24);
-        for (std::size_t c = 0; c < len; ++c)
-            name += charset[rng.below(sizeof(charset) - 1)];
+        const std::string name =
+            "attack:" + randomSpec(rng, families, kFuzzKeys);
         AttackSpec spec;
         std::string err;
-        if (tryParseAttackSpec(name, spec, err)) {
-            // Accepted specs must satisfy the documented ranges and
-            // be consistent with the workload-layer dispatch.
-            ASSERT_GE(spec.sets, 2u);
-            ASSERT_EQ(spec.sets & (spec.sets - 1), 0u);
-            ASSERT_GE(spec.ways, 1u);
-            ASSERT_LE(spec.ways, 64u);
-            ASSERT_TRUE(isWorkloadName(name));
-        } else {
-            ASSERT_FALSE(err.empty());
+        if (!tryParseAttackSpec(name, spec, err)) {
+            ASSERT_FALSE(err.empty()) << name;
             ASSERT_FALSE(isWorkloadName(name));
+            continue;
         }
+        ++accepted;
+        // Accepted specs must satisfy the documented ranges and be
+        // consistent with the workload-layer dispatch.
+        ASSERT_GE(spec.sets, 2u);
+        ASSERT_LE(spec.sets, 1u << 20);
+        ASSERT_EQ(spec.sets & (spec.sets - 1), 0u);
+        ASSERT_GE(spec.ways, 1u);
+        ASSERT_LE(spec.ways, 64u);
+        if (spec.defense.kind == IndexDefenseKind::RandDynamic) {
+            ASSERT_GT(spec.defense.period, 0u);
+        }
+        ASSERT_TRUE(isWorkloadName(name));
+        AttackSpec again;
+        ASSERT_TRUE(tryParseAttackSpec(spec.name, again, err)) << err;
+        ASSERT_EQ(again.name, spec.name);
+        ASSERT_EQ(parseAttackSpec(name).name, spec.name);
     }
-}
-
-/** Defense-spec fuzzer: same contract for the rand_index grammar. */
-TEST(AttackFuzz, RandomDefenseSpecsParseOrFailCleanly)
-{
-    Rng rng(0xdef5eed);
-    const char charset[] =
-        "abcdefghijklmnopqrstuvwxyz0123456789-=_,:. ";
-    for (int iter = 0; iter < 8000; ++iter) {
-        std::string spec;
-        if (rng.chance(0.6))
-            spec = rng.chance(0.5) ? "rand" : "rand-dynamic";
-        if (rng.chance(0.7)) {
-            spec += ":";
-            const std::size_t len = rng.below(20);
-            for (std::size_t c = 0; c < len; ++c)
-                spec += charset[rng.below(sizeof(charset) - 1)];
-        }
-        IndexDefenseConfig cfg;
-        std::string err;
-        if (tryParseIndexDefense(spec, cfg, err)) {
-            if (cfg.kind == IndexDefenseKind::RandDynamic) {
-                ASSERT_GT(cfg.period, 0u);
-            }
-            // The canonical rendering must round-trip.
-            IndexDefenseConfig again;
-            ASSERT_TRUE(tryParseIndexDefense(cfg.spec(), again, err));
-            ASSERT_EQ(again.spec(), cfg.spec());
-        } else {
-            ASSERT_FALSE(err.empty());
-        }
-    }
+    EXPECT_GT(accepted, 500u);
 }
 
 /**

@@ -16,6 +16,7 @@
 #include "model/profile.hh"
 #include "sim/experiment.hh"
 #include "sim/mixes.hh"
+#include "sim/policies.hh"
 #include "sim/run_engine.hh"
 
 namespace nucache::model
@@ -61,15 +62,19 @@ TEST(Profile, StoreMemoizesOnePassPerKey)
 
 TEST(Predictor, SupportedFamiliesMatchTheModel)
 {
+    spec::Spec policy;
     std::string err;
-    for (const char *spec :
+    for (const char *text :
          {"lru", "nru", "ucp", "pipp", "nucache", "nucache:d=4",
           "nucache-none", "nucache-all"}) {
-        EXPECT_TRUE(estimateSupported(spec, err)) << spec << ": " << err;
+        ASSERT_TRUE(parsePolicySpec(text, policy, err)) << err;
+        EXPECT_TRUE(estimateSupported(policy, err)) << text << ": " << err;
     }
-    for (const char *spec : {"ship", "drrip", "belady", "hawkeye"}) {
+    for (const char *text : {"ship", "drrip", "hawkeye",
+                             "nucache-adaptive"}) {
+        ASSERT_TRUE(parsePolicySpec(text, policy, err)) << err;
         err.clear();
-        EXPECT_FALSE(estimateSupported(spec, err)) << spec;
+        EXPECT_FALSE(estimateSupported(policy, err)) << text;
         EXPECT_FALSE(err.empty());
     }
 }

@@ -378,37 +378,90 @@ TEST(Protocol, ResponseEnvelopesRoundTrip)
     EXPECT_EQ(back.find("id"), nullptr);
 }
 
+TEST(Protocol, SpellingsOfOneSpecShareOneCacheKey)
+{
+    const auto request = [](const std::string &params) {
+        return mustParse(R"({"op":"run_mix","params":{)" + params + "}}");
+    };
+    const Request a = request(
+        R"("mix":"mix2_01","policy":"nucache:epoch=5000,d=4")");
+    const Request b = request(
+        R"("mix":"mix2_01","policy":"nucache:d=04,epoch=5000")");
+    EXPECT_EQ(a.policy, "nucache:d=4,epoch=5000");
+    EXPECT_EQ(b.policy, a.policy);
+    EXPECT_EQ(serve::cacheKey(a, 250'000), serve::cacheKey(b, 250'000));
+
+    // Attack workload names and defense specs canonicalize too.
+    const Request c = request(
+        R"("workloads":["attack:evset:seed=7,ways=4","zipf_hot"],)"
+        R"("llc_defense":"rand-dynamic:period=500")");
+    const Request d = request(
+        R"("workloads":["attack:evset:ways=4,seed=07","zipf_hot"],)"
+        R"("llc_defense":"rand-dynamic:period=0500")");
+    EXPECT_EQ(c.mix.workloads.at(0), "attack:evset:ways=4,seed=7");
+    EXPECT_EQ(c.mix.name, "adhoc:attack:evset:ways=4,seed=7:zipf_hot");
+    EXPECT_EQ(serve::cacheKey(c, 250'000), serve::cacheKey(d, 250'000));
+}
+
 TEST(Protocol, ValidatePolicySpecMatchesFactoryGrammar)
 {
+    spec::Spec p;
     std::string err;
-    EXPECT_TRUE(validatePolicySpec("nucache", err));
-    EXPECT_TRUE(validatePolicySpec("lru", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:dlimit=4", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:dlimit=4,k=2", err));
+    const auto ok = [&](const char *text) {
+        return parsePolicySpec(text, p, err);
+    };
+    EXPECT_TRUE(ok("nucache"));
+    EXPECT_TRUE(ok("lru"));
+    // Keys are checked per family: a key another family owns, or no
+    // family owns, is rejected, as is a key given twice.
+    EXPECT_FALSE(ok("nucache:dlimit=4"));
+    EXPECT_FALSE(ok("nucache:dlimit=4,k=2"));
+    EXPECT_FALSE(ok("lru:d=4"));
+    EXPECT_FALSE(ok("ucp:d=4"));
+    EXPECT_FALSE(ok("nucache:d=4,d=5"));
+    EXPECT_FALSE(ok("nucache:d=4,"));
+    EXPECT_FALSE(ok("nucache:"));
 
-    EXPECT_FALSE(validatePolicySpec("nope", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:dlimit", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:dlimit=", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:=4", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:dlimit=abc", err));
-    EXPECT_FALSE(
-        validatePolicySpec("nucache:dlimit=12345678901234567", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:epoch=0", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:epoch=1", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:board=0", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:board=1", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:board=1048576", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:board=1048577", err));
-    EXPECT_TRUE(validatePolicySpec("nucache:shift=31", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:shift=32", err));
-    EXPECT_FALSE(validatePolicySpec("nucache:shift=64", err));
-    EXPECT_FALSE(validatePolicySpec("hawkeye:shift=64", err));
+    EXPECT_FALSE(ok("nope"));
+    EXPECT_FALSE(ok("nucache:d"));
+    EXPECT_FALSE(ok("nucache:d="));
+    EXPECT_FALSE(ok("nucache:=4"));
+    EXPECT_FALSE(ok("nucache:d=abc"));
+    EXPECT_FALSE(ok("nucache:d=-1"));
+    EXPECT_FALSE(ok("nucache:d=+1"));
+    EXPECT_FALSE(ok("nucache:d= 1"));
+    EXPECT_FALSE(ok("nucache:epoch=18446744073709551616"));
+    EXPECT_TRUE(ok("nucache:epoch=18446744073709551615"));
+    EXPECT_TRUE(ok("nucache:epoch=12345678901234567"));
+    EXPECT_FALSE(ok("nucache:d=12345678901234567"));
+    EXPECT_TRUE(ok("nucache:pool=4294967295"));
+    EXPECT_FALSE(ok("nucache:pool=4294967296"));
+    EXPECT_FALSE(ok("nucache:epoch=0"));
+    EXPECT_TRUE(ok("nucache:epoch=1"));
+    EXPECT_FALSE(ok("nucache:board=0"));
+    EXPECT_TRUE(ok("nucache:board=1"));
+    EXPECT_TRUE(ok("nucache:board=1048576"));
+    EXPECT_FALSE(ok("nucache:board=1048577"));
+    EXPECT_TRUE(ok("nucache:shift=31"));
+    EXPECT_FALSE(ok("nucache:shift=32"));
+    EXPECT_FALSE(ok("nucache:shift=64"));
+    EXPECT_FALSE(ok("hawkeye:shift=64"));
+    EXPECT_FALSE(ok("ship:shct=0"));
+    EXPECT_TRUE(ok("ship:shct=24"));
+    EXPECT_FALSE(ok("ship:shct=25"));
+    EXPECT_FALSE(err.empty());
 
-    EXPECT_FALSE(validatePolicyForLlc("nucache:d=16", 16, 2, err));
-    EXPECT_TRUE(validatePolicyForLlc("nucache:d=15", 16, 2, err));
-    EXPECT_TRUE(validatePolicyForLlc("lru:d=16", 16, 2, err));
-    EXPECT_FALSE(validatePolicyForLlc("pipp", 2, 4, err));
-    EXPECT_TRUE(validatePolicyForLlc("pipp", 4, 4, err));
+    // One canonical spelling: table order, plain decimal.
+    ASSERT_TRUE(ok("nucache:epoch=05000,d=4"));
+    EXPECT_EQ(p.canonical(), "nucache:d=4,epoch=5000");
+
+    ASSERT_TRUE(ok("nucache:d=16"));
+    EXPECT_FALSE(validatePolicyForLlc(p, 16, 2, err));
+    ASSERT_TRUE(ok("nucache:d=15"));
+    EXPECT_TRUE(validatePolicyForLlc(p, 16, 2, err));
+    ASSERT_TRUE(ok("pipp"));
+    EXPECT_FALSE(validatePolicyForLlc(p, 2, 4, err));
+    EXPECT_TRUE(validatePolicyForLlc(p, 4, 4, err));
 }
 
 } // anonymous namespace

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <cctype>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +145,34 @@ TEST_F(ServeTest, RunMixResultsAndCacheReuse)
               result.at("weighted_speedup").str(0));
 }
 
+TEST_F(ServeTest, SpellingsOfOneSpecShareOneCacheEntry)
+{
+    startServer(baseConfig());
+    TestClient client(server->port());
+    const auto run = [&](const char *policy) {
+        return client.call(
+            std::string(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+                        R"("policy":")") +
+            policy + "\"}}");
+    };
+
+    const Json first = run("nucache:epoch=5000,d=4");
+    ASSERT_TRUE(first.at("ok").asBool()) << first.str(0);
+    EXPECT_FALSE(first.at("result").at("server").at("cached").asBool());
+    const Json second = run("nucache:d=4,epoch=5000");
+    ASSERT_TRUE(second.at("ok").asBool()) << second.str(0);
+    EXPECT_TRUE(second.at("result").at("server").at("cached").asBool());
+    for (const Json *doc : {&first, &second}) {
+        EXPECT_EQ(doc->at("result").at("policy").asString(),
+                  "nucache:d=4,epoch=5000");
+    }
+
+    const Json stats = client.call(R"({"op":"stats"})");
+    const Json &svc = stats.at("result").at("service");
+    EXPECT_EQ(svc.at("cache_misses").asUint(), 1u);
+    EXPECT_EQ(svc.at("cache_hits").asUint(), 1u);
+}
+
 TEST_F(ServeTest, AloneRunsAndArenaAreReusedAcrossRequests)
 {
     startServer(baseConfig());
@@ -208,10 +237,12 @@ TEST_F(ServeTest, GarbageLineGetsErrorAndConnectionSurvives)
 }
 
 /**
- * Each policy spec here once made the daemon exit through fatal() or
- * run into undefined behaviour: a zero epoch, DeliWays filling
- * mix2_01's 16-way LLC, an empty or a wrapping victim board, and a
- * sampling shift at or past the word width.  Each must answer
+ * Each policy spec here once made the daemon exit through fatal(), run
+ * into undefined behaviour or run as something it did not say: a zero
+ * epoch, DeliWays filling mix2_01's 16-way LLC, an empty or a wrapping
+ * victim board, a sampling shift at or past the word width, a SHiP
+ * table size out of range, a key the family does not have, a key given
+ * twice, and a pool that truncated to 32 bits.  Each must answer
  * bad_request and leave the daemon serving.
  */
 class FatalSpecTest : public ServeTest,
@@ -240,7 +271,7 @@ fatalSpecName(const ::testing::TestParamInfo<const char *> &info)
 {
     std::string name = info.param;
     for (char &ch : name) {
-        if (ch == ':' || ch == '=')
+        if (std::isalnum(static_cast<unsigned char>(ch)) == 0)
             ch = '_';
     }
     return name;
@@ -253,7 +284,11 @@ INSTANTIATE_TEST_SUITE_P(Reproducers, FatalSpecTest,
                                            "nucache:board=4294967296",
                                            "nucache:shift=64",
                                            "nucache:shift=200",
-                                           "hawkeye:shift=40"),
+                                           "hawkeye:shift=40",
+                                           "ship:shct=0", "ship:shct=25",
+                                           "nucache:foo=1", "lru:d=4",
+                                           "nucache:d=4,d=5",
+                                           "nucache:pool=4294967297"),
                          fatalSpecName);
 
 TEST_F(ServeTest, OversizedLineIsRejectedAndClosed)

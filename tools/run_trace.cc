@@ -95,8 +95,10 @@ main(int argc, char **argv)
         fatal("--mode must be 'exact' or 'estimate', got '", mode,
               "'");
     if (mode == "estimate") {
+        spec::Spec parsed;
         std::string err;
-        if (!model::estimateSupported(policy, err))
+        if (!parsePolicySpec(policy, parsed, err) ||
+            !model::estimateSupported(parsed, err))
             fatal("--mode=estimate: ", err);
         if (args.has("telemetry") || args.has("check") ||
             args.has("trace-out"))
