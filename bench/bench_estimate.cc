@@ -5,7 +5,8 @@
  * ucp, pipp} twice — exactly on the RunEngine and analytically
  * through src/model/ — and reports the estimate-vs-exact error
  * (per-core LLC hit-rate and relative IPC) next to the model's
- * evaluation latency and the profile-pass cost.
+ * evaluation latency (each cell's median of kEvalRepeats calls, with
+ * a p50 per core count) and the profile-pass cost.
  *
  * The JSON mirror is the `estimate_tier` section of the
  * nucache-bench/v1 document; the copy committed in
@@ -17,8 +18,12 @@
  * nightly.
  */
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <iostream>
+#include <map>
+#include <thread>
 
 #include "bench_common.hh"
 #include "model/predictor.hh"
@@ -31,6 +36,12 @@ namespace
 
 using namespace nucache;
 using namespace nucache::bench;
+
+/**
+ * Timed model evaluations per cell: a cell's eval_us is their median,
+ * so one descheduled call on a shared host does not move it.
+ */
+constexpr int kEvalRepeats = 5;
 
 /** Policy families the estimate tier models (calibration columns). */
 constexpr const char *kPolicies[] = {
@@ -182,6 +193,7 @@ main(int argc, char **argv)
     std::map<std::string, ErrorStats> byPolicy;
     ErrorStats overall;
     std::vector<double> eval_us;
+    std::map<std::size_t, std::vector<double>> evalUsByCores;
 
     TextTable table;
     table.header({"mix", "policy", "max|dhit|", "max relIPC err",
@@ -197,14 +209,19 @@ main(int argc, char **argv)
         for (const std::string &policy : policies) {
             const MixResult exact = engine.runMix(mix, policy, hier);
 
-            const auto t0 = std::chrono::steady_clock::now();
-            const model::MixEstimate est =
-                model::estimateMix(profiles, hier, policy);
-            const double us =
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
+            model::MixEstimate est;
+            std::array<double, kEvalRepeats> times{};
+            for (double &t : times) {
+                const auto t0 = std::chrono::steady_clock::now();
+                est = model::estimateMix(profiles, hier, policy);
+                t = std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+            }
+            std::sort(times.begin(), times.end());
+            const double us = times[kEvalRepeats / 2];
             eval_us.push_back(us);
+            evalUsByCores[mix.workloads.size()].push_back(us);
 
             ErrorStats cellErr;
             for (std::size_t c = 0; c < exact.system.cores.size();
@@ -264,16 +281,30 @@ main(int argc, char **argv)
     const double p50 = percentileOf(eval_us, 0.50);
     const double p90 = percentileOf(eval_us, 0.90);
     const double mx = eval_us.empty() ? 0.0 : eval_us.back();
-    std::cout << "\nmodel eval latency: p50 " << p50 << " us, p90 "
-              << p90 << " us, max " << mx << " us over "
-              << eval_us.size() << " evals\n"
-              << "overall max |dhit| " << overall.maxAbsHit << "\n";
+    std::cout << "\nmodel eval latency (median of " << kEvalRepeats
+              << " calls per cell): p50 " << p50 << " us, p90 " << p90
+              << " us, max " << mx << " us over " << eval_us.size()
+              << " cells\n";
+    Json byCores = Json::array();
+    for (auto &[cores, us] : evalUsByCores) {
+        std::sort(us.begin(), us.end());
+        const double coreP50 = percentileOf(us, 0.50);
+        std::cout << "  " << cores << "-core p50 " << coreP50 << " us over "
+                  << us.size() << " cells\n";
+        Json row = Json::object();
+        row["cores"] = std::uint64_t{cores};
+        row["evals"] = std::uint64_t{us.size()};
+        row["p50_us"] = coreP50;
+        byCores.push(std::move(row));
+    }
+    std::cout << "overall max |dhit| " << overall.maxAbsHit << "\n";
 
     if (report.enabled()) {
         Json &s = report.section("estimate_tier", "estimate_tier");
         s["model_version"] = model::kModelVersion;
         s["records_per_core"] = opt.records;
         s["quick"] = args.has("quick");
+        s["hardware_threads"] = std::thread::hardware_concurrency();
         s["max_abs_hit_rate_error"] = overall.maxAbsHit;
         s["mean_abs_hit_rate_error"] = overall.meanAbsHit();
         s["max_rel_ipc_error"] = overall.maxRelIpc;
@@ -294,6 +325,8 @@ main(int argc, char **argv)
         lat["p50_us"] = p50;
         lat["p90_us"] = p90;
         lat["max_us"] = mx;
+        lat["repeats_per_eval"] = std::uint64_t{kEvalRepeats};
+        lat["by_cores"] = std::move(byCores);
         lat["profile_builds"] = profile_builds;
         lat["profile_build_s"] = profile_s;
         s["latency"] = std::move(lat);

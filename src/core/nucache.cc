@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "obs/tracer.hh"
@@ -35,8 +36,14 @@ NUcachePolicy::init(const PolicyContext &ctx)
     effMonitor = cfg.monitor;
     effEpochMisses = cfg.epochMisses;
     if (ctx.numCores > 1) {
-        effSelector.candidatePcs *= ctx.numCores;
-        effSelector.maxSelected *= ctx.numCores;
+        // The pool and the admission cap accept any 32-bit value per
+        // core; their per-system products saturate instead of wrapping.
+        const auto scaled = [&](std::uint32_t per_core) {
+            return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                std::uint64_t{per_core} * ctx.numCores, UINT32_MAX));
+        };
+        effSelector.candidatePcs = scaled(effSelector.candidatePcs);
+        effSelector.maxSelected = scaled(effSelector.maxSelected);
         effMonitor.boardEntries *= ctx.numCores;
         effMonitor.maxPcs *= ctx.numCores;
     }

@@ -147,7 +147,8 @@ selectDelinquentPcs(const std::vector<PcProfile> &candidates,
     // fixpoint.  Plain greedy addition cannot escape an inherited set
     // whose members jointly shrink the window below everyone's
     // distances.
-    for (unsigned round = 0; round < 2 * cfg.maxSelected + 4; ++round) {
+    const std::uint64_t rounds = 2 * std::uint64_t{cfg.maxSelected} + 4;
+    for (std::uint64_t round = 0; round < rounds; ++round) {
         double round_best = best_benefit;
         double round_window = best_window;
         std::uint64_t round_inserts = inserts;

@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "check/checker.hh"
 #include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "core/nucache.hh"
 #include "mem/cache.hh"
 #include "mem/lru.hh"
+#include "sim/policies.hh"
 
 namespace nucache
 {
@@ -531,6 +536,50 @@ TEST(NUcache, NamesFollowMode)
     EXPECT_EQ(NUcachePolicy(
                   testConfig(4, NUcacheConfig::Selection::None)).name(),
               "nucache-none");
+}
+
+/**
+ * Run loop-plus-stream traffic from two cores through a NUcache built
+ * from @p spec and @return its outcome: hits, DeliWays hits and the
+ * selected PCs.
+ */
+std::string
+twoCoreOutcome(const std::string &spec)
+{
+    CacheConfig cfg{"n", 64ull * 16 * 64, 16, 64};
+    auto policy = makePolicy(spec);
+    const auto *nu = dynamic_cast<const NUcachePolicy *>(policy.get());
+    Cache c(cfg, std::move(policy), 2);
+    Addr stream = 1 << 24;
+    for (int iter = 0; iter < 40; ++iter) {
+        for (Addr b = 0; b < 1500; ++b)
+            c.access(read(b * 64, 0x400000 + (mix64(b) % 8) * 4, 0));
+        for (int s = 0; s < 500; ++s) {
+            c.access(read(stream, 0x500000, 1));
+            stream += 64;
+        }
+    }
+    std::vector<PC> pcs(nu->selectedPcs().begin(), nu->selectedPcs().end());
+    std::sort(pcs.begin(), pcs.end());
+    std::string out = std::to_string(c.totalStats().hits) + "/" +
+                      std::to_string(nu->deliHits()) + "/";
+    for (const PC pc : pcs)
+        out += std::to_string(pc) + ",";
+    return out;
+}
+
+TEST(NUcache, PerCoreScalingSaturatesInsteadOfWrapping)
+{
+    // The candidate pool and the admission cap are per core and scale
+    // by the core count; on two cores 2^31 must saturate like 2^32-1
+    // rather than wrap to 0 (which empties the pool or the cap).
+    for (const char *key : {"pool", "maxsel"}) {
+        const std::string base =
+            std::string("nucache:epoch=2000,shift=0,") + key + "=";
+        const std::string half = twoCoreOutcome(base + "2147483648");
+        EXPECT_EQ(half, twoCoreOutcome(base + "4294967295")) << key;
+        EXPECT_NE(half, twoCoreOutcome(base + "0")) << key;
+    }
 }
 
 TEST(NUcacheDeathTest, RejectsAllWaysAsDeliWays)

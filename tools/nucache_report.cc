@@ -22,14 +22,16 @@
  *       each run's own calibration loop, regressed by more than the
  *       threshold fraction; when PIPP or NUcache in NEW runs
  *       below its kPolicyFloors fraction of its own lru at
- *       kFloorGeometry (1MiB-16w); or when NEW's
+ *       kFloorGeometry (1MiB-16w); when NEW's
  *       private-level log runs below kMinPrivateMemoRatio of its own
- *       live private caches.
+ *       live private caches; or when two estimate_tier sweeps of one
+ *       model version and window disagree on any est_* value.
  *   --series=SUBSTR limits telemetry detail to matching labels.
  */
 
 #include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -531,6 +533,16 @@ summarizeBench(const Json &doc)
                           << lat->at("p90_us").asDouble() << ", max "
                           << lat->at("max_us").asDouble() << " over "
                           << lat->at("evals").asUint() << " evals\n";
+                if (const Json *byCores = lat->find("by_cores")) {
+                    for (const Json &row : byCores->elements()) {
+                        std::cout << "  " << row.at("cores").asUint()
+                                  << "-core p50 "
+                                  << row.at("p50_us").asDouble()
+                                  << " us over "
+                                  << row.at("evals").asUint()
+                                  << " evals\n";
+                    }
+                }
             }
         } else if (kind == "attack_suite" &&
                    s.find("cells") != nullptr) {
@@ -810,11 +822,53 @@ constexpr PolicyFloor kPolicyFloors[] = {
 /**
  * Floor on an eight-core System run's records/sec with its private
  * levels replayed from the shared log, as a multiple of the same run
- * on live private caches, both from the same bench run.  The log
- * measures 1.41-1.68x on a 4-thread host; a run that silently fell
- * back to the live path would measure about 1.0x.
+ * on live private caches, both from the same bench run: the median of
+ * its interleaved trials' ratios.  Five --quick runs on a 4-thread
+ * host measured medians of 1.27-1.46x from single trials of
+ * 1.10-1.61x; a run that silently fell back to the live path would
+ * measure about 1.0x.
  */
 constexpr double kMinPrivateMemoRatio = 1.15;
+
+/**
+ * Compare the est_* values of two estimate_tier sections cell by cell
+ * (matched by mix and policy).  The model is pure arithmetic over
+ * profiles that are a function of (workload, window), so one model
+ * version at one window must reproduce every estimate bit for bit.
+ * @return false when any shared cell's est_* value differs.
+ */
+bool
+sameEstimates(const Json &old_s, const Json &new_s)
+{
+    std::map<std::string, const Json *> oldCells;
+    for (const Json &c : old_s.at("cells").elements())
+        oldCells[c.at("mix").asString() + "/" + c.at("policy").asString()] =
+            &c;
+    std::size_t compared = 0, changed = 0;
+    for (const Json &c : new_s.at("cells").elements()) {
+        const std::string key =
+            c.at("mix").asString() + "/" + c.at("policy").asString();
+        const auto it = oldCells.find(key);
+        if (it == oldCells.end())
+            continue;
+        for (const auto &[name, value] : c.members()) {
+            const Json *old = it->second->find(name);
+            if (name.rfind("est_", 0) != 0 || old == nullptr)
+                continue;
+            ++compared;
+            if (old->asDouble() != value.asDouble()) {
+                ++changed;
+                std::cout << "estimate changed: " << key << " " << name
+                          << " " << std::setprecision(17)
+                          << old->asDouble() << " -> " << value.asDouble()
+                          << std::setprecision(6) << "\n";
+            }
+        }
+    }
+    std::cout << "estimate_tier: " << compared << " est_* values compared, "
+              << changed << " changed\n";
+    return changed == 0;
+}
 
 /** @return section of @p doc with the given label, or nullptr. */
 const Json *
@@ -915,7 +969,27 @@ diffBench(const std::string &old_path, const std::string &new_path,
         }
     }
 
-    // Gate 3: LRU lookup throughput per calibration scan, so each
+    // Gate 3: estimates are reproducible, so a sweep at the same model
+    // version and window must match OLD's outputs exactly.
+    const Json *oldEst = findSection(oldDoc, "estimate_tier");
+    const Json *newEst = findSection(newDoc, "estimate_tier");
+    if (oldEst != nullptr && newEst != nullptr) {
+        const auto same = [&](const char *key) {
+            const Json *a = oldEst->find(key);
+            const Json *b = newEst->find(key);
+            return a != nullptr && b != nullptr && a->str(0) == b->str(0);
+        };
+        if (!same("model_version") || !same("records_per_core")) {
+            std::cout << "estimate_tier: model version or window "
+                         "differs; estimates not compared\n";
+        } else if (!sameEstimates(*oldEst, *newEst)) {
+            std::cout << "REGRESSION: estimates changed at the same "
+                         "model version and window\n";
+            status = 2;
+        }
+    }
+
+    // Gate 4: LRU lookup throughput per calibration scan, so each
     // side's host speed cancels.
     const Json *oldLook = findSection(oldDoc, "lru_lookup");
     const Json *newLook = findSection(newDoc, "lru_lookup");
