@@ -577,7 +577,6 @@ main(int argc, char **argv)
     {
         serve::ServerConfig scfg;
         scfg.port = 0;
-        scfg.shards = 2;
         scfg.service.jobs = 1;
         scfg.service.defaultRecords = 2'000;
         serve::Server server(scfg);

@@ -11,7 +11,6 @@
 #   MIN_RPS=<n>  optionally gate the pipelined bench on a throughput
 #                floor (leave unset on noisy or sanitizer-built
 #                runners).
-#   SHARDS=<n>   engine shards to boot with (default 1).
 #   ATTACK=1     also drive hostile attack:* traces and malformed
 #                attack/defense specs through run_mix (all must be
 #                answered, never fatal).
@@ -38,10 +37,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
-shards="${SHARDS-1}"
 trace_file="$workdir/trace.json"
 "$nucached" --port=0 --port-file="$port_file" --records=10000 \
-    --serve-shards="$shards" --trace-out="$trace_file" \
+    --trace-out="$trace_file" \
     --jobs="$(nproc 2>/dev/null || echo 2)" >"$log" 2>&1 &
 server_pid=$!
 
@@ -64,7 +62,7 @@ done
     exit 1
 }
 port="$(cat "$port_file")"
-echo "== nucached up on port $port (shards=$shards)"
+echo "== nucached up on port $port"
 
 echo "== health"
 "$client" --port="$port" --op=health --compact
@@ -169,17 +167,16 @@ if [ -x "$report" ]; then
     "$report" --check "$metrics_file"
 fi
 # Core series must exist and be nonzero after the traffic above.
-python3 - "$metrics_file" "$shards" <<'EOF'
+python3 - "$metrics_file" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
-shards = int(sys.argv[2])
 assert m["schema"] == "nucache-metrics/v1", m.get("schema")
 srv = m["server"]
 assert srv["requests"] > 0, "no requests counted"
 assert srv["responses"] > 0, "no responses counted"
 assert srv["outbound_hwm_bytes"] > 0, "outbound high-water never moved"
-assert len(m["shards"]) == shards, "wrong shard count"
-assert sum(s["dispatched"] for s in m["shards"]) > 0, "nothing dispatched"
+assert len(m["shards"]) == 1, "expected the one dispatcher row"
+assert m["shards"][0]["dispatched"] > 0, "nothing dispatched"
 classes = {k: v["count"] for k, v in m["requests"].items()}
 assert classes.get("cache_hit", 0) > 0, f"no cache_hit samples: {classes}"
 assert classes.get("exact", 0) > 0, f"no exact samples: {classes}"

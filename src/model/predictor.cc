@@ -40,7 +40,6 @@ constexpr std::size_t kDeliMaxSelected = 16;
 enum class PolicyFamily
 {
     Lru,
-    Nru,
     NUcache,
     Ucp,
     Pipp,
@@ -61,10 +60,10 @@ resolveFamily(const spec::Spec &policy, FamilySpec &out,
               std::string &err)
 {
     const std::string_view name = policy.family->name;
-    if (name == "lru") {
+    // NRU's one-bit recency approximates LRU's stack; the model has
+    // no separate NRU term, so nru is estimated as lru.
+    if (name == "lru" || name == "nru") {
         out.family = PolicyFamily::Lru;
-    } else if (name == "nru") {
-        out.family = PolicyFamily::Nru;
     } else if (name == "ucp") {
         out.family = PolicyFamily::Ucp;
     } else if (name == "pipp") {

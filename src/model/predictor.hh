@@ -7,7 +7,9 @@
  * Model (DESIGN.md "Estimate tier" derives the equations):
  *
  *  - Shared-LRU families (lru, nru, nucache MainWays): window
- *    pollution.  A reuse of core i at stack distance d hits iff
+ *    pollution.  NRU has no model of its own: it is estimated with
+ *    the LRU model, bit for bit (its measured error is therefore far
+ *    larger than lru's; see DESIGN.md "Estimate tier").  A reuse of core i at stack distance d hits iff
  *    d plus the distinct blocks every co-runner inserts while core i
  *    issues the n = coverAccesses_i(d) accesses between the two
  *    touches still fits:  d + sum_{j!=i} distinct_j(n * r_j / r_i)

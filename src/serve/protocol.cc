@@ -521,20 +521,6 @@ cacheKey(const Request &req, std::uint64_t default_records)
     return key.str();
 }
 
-std::size_t
-shardOf(const Request &req, std::uint64_t default_records,
-        std::size_t shards)
-{
-    if (shards <= 1)
-        return 0;
-    const std::uint64_t records =
-        req.records != 0 ? req.records : default_records;
-    // Fibonacci hashing spreads the handful of distinct windows a
-    // deployment uses across shards without clustering.
-    const std::uint64_t h = records * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h >> 33) % shards;
-}
-
 Json
 streamFrame(const Request &req, std::uint64_t seq, bool last)
 {

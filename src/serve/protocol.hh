@@ -14,8 +14,8 @@
  * metrics params:  {"format": "json" | "prometheus"} (optional,
  *                  default "json").  "json" answers the
  *                  nucache-metrics/v1 document (latency histograms
- *                  by request class and phase, per-shard queue/
- *                  dispatch state, cache hit ratios, shed/overload
+ *                  by request class and phase, the dispatcher's
+ *                  queue state, cache hit ratios, shed/overload
  *                  counters, process gauges, the slow-request
  *                  sample log); "prometheus" answers
  *                  {"content_type": "text/plain; version=0.0.4",
@@ -209,16 +209,6 @@ std::string batchKey(const Request &req, std::uint64_t default_records);
  * when the request is uncacheable (telemetry, no_cache, non-run ops).
  */
 std::string cacheKey(const Request &req, std::uint64_t default_records);
-
-/**
- * @return the dispatch shard of @p req among @p shards engine
- * shards.  Requests hash by their measurement window — the key
- * RunEngines are memoized under — so every request for one window
- * lands on the shard that owns that window's warm engine and its
- * run-alone/arena reuse.
- */
-std::size_t shardOf(const Request &req, std::uint64_t default_records,
-                    std::size_t shards);
 
 /**
  * @return one streaming frame envelope for @p req: `ok` true plus a

@@ -73,7 +73,7 @@ classifyResponse(const Request &req, const Json &response)
                                       : RequestClass::Exact;
 }
 
-/** @return a sum over the aggregated service stats @p svc. */
+/** @return the counter @p key of the service stats @p svc. */
 std::uint64_t
 svcCount(const Json &svc, const char *key)
 {
@@ -83,18 +83,15 @@ svcCount(const Json &svc, const char *key)
 
 } // anonymous namespace
 
-Server::Server(ServerConfig config) : cfg(std::move(config))
+Server::Server(ServerConfig config)
+    : cfg(std::move(config)), service(cfg.service)
 {
     if (cfg.queueDepth == 0)
         cfg.queueDepth = 1;
     if (cfg.batchMax == 0)
         cfg.batchMax = 1;
-    if (cfg.shards == 0)
-        cfg.shards = 1;
     if (cfg.maxOutboundBytes == 0)
         cfg.maxOutboundBytes = 1;
-    for (std::size_t s = 0; s < cfg.shards; ++s)
-        shards.push_back(std::make_unique<Shard>(cfg.service));
 }
 
 Server::~Server()
@@ -106,6 +103,11 @@ Server::~Server()
 bool
 Server::start(std::string &err)
 {
+    if (cfg.shards != 1) {
+        err = "shards = " + std::to_string(cfg.shards) +
+              ": the server runs one dispatcher (shards must be 1)";
+        return false;
+    }
     if (!wake.valid()) {
         err = "cannot create the wake pipe";
         return false;
@@ -133,10 +135,7 @@ Server::start(std::string &err)
 
     started = Clock::now();
     loopThread = std::thread(&Server::eventLoop, this);
-    for (auto &shard : shards) {
-        shard->thread =
-            std::thread(&Server::dispatchLoop, this, std::ref(*shard));
-    }
+    dispatchThread = std::thread(&Server::dispatchLoop, this);
     return true;
 }
 
@@ -144,8 +143,12 @@ void
 Server::requestShutdown()
 {
     stopping.store(true, std::memory_order_release);
-    for (auto &shard : shards)
-        shard->cv.notify_all();
+    {
+        // Under the queue mutex, so the dispatcher cannot miss the
+        // flag between its predicate check and its wait.
+        std::lock_guard<std::mutex> lock(queueMtx);
+    }
+    queueCv.notify_all();
     wake.notify();
 }
 
@@ -168,10 +171,8 @@ Server::join()
         return;
     if (loopThread.joinable())
         loopThread.join();
-    for (auto &shard : shards) {
-        if (shard->thread.joinable())
-            shard->thread.join();
-    }
+    if (dispatchThread.joinable())
+        dispatchThread.join();
     threadsJoined = true;
 }
 
@@ -192,12 +193,7 @@ Server::eventLoop()
             listenerArmed = false;
         }
         if (stop) {
-            bool drainedAll = true;
-            for (const auto &shard : shards) {
-                if (!shard->drained.load(std::memory_order_acquire))
-                    drainedAll = false;
-            }
-            if (drainedAll) {
+            if (drained.load(std::memory_order_acquire)) {
                 std::lock_guard<std::mutex> lock(connsMtx);
                 bool flushed = true;
                 for (const auto &[id, conn] : conns) {
@@ -508,10 +504,6 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
     }
 
     const bool stream = req.stream;
-    const std::size_t shardIdx =
-        shardOf(req, cfg.service.defaultRecords, shards.size());
-    Shard &shard = *shards[shardIdx];
-    trace.shard = static_cast<std::uint32_t>(shardIdx);
 
     // Warm fast path: a result-cache hit is answered inline by this
     // thread — deterministic simulation makes the cached bytes
@@ -529,8 +521,8 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
         std::string payload;
         const bool hit =
             req.mode == Mode::Estimate
-                ? shard.service.tryEstimate(req, payload)
-                : shard.service.tryCached(req, payload);
+                ? service.tryEstimate(req, payload)
+                : service.tryCached(req, payload);
         if (hit) {
             trace.cls = req.mode == Mode::Estimate
                             ? RequestClass::EstimateInline
@@ -562,7 +554,7 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
     pending.trace = trace;
     pending.req = std::move(req);
 
-    // The stopping check lives inside the shard's critical section:
+    // The stopping check lives inside the queue's critical section:
     // the dispatcher only declares itself drained under this mutex
     // with the flag set and the queue empty, so a request admitted
     // here can never slip behind a drained dispatcher and hang
@@ -570,19 +562,18 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
     bool admitted = false;
     bool draining = false;
     {
-        std::lock_guard<std::mutex> lock(shard.mtx);
+        std::lock_guard<std::mutex> lock(queueMtx);
         if (stopping.load(std::memory_order_acquire)) {
             draining = true;
-        } else if (shard.queue.size() < cfg.queueDepth) {
-            shard.queue.push_back(std::move(pending));
-            shard.metrics.queueDepthHwm =
-                std::max(shard.metrics.queueDepthHwm,
-                         std::uint64_t{shard.queue.size()});
+        } else if (queue.size() < cfg.queueDepth) {
+            queue.push_back(std::move(pending));
+            queueDepthHwm =
+                std::max(queueDepthHwm, std::uint64_t{queue.size()});
             admitted = true;
         }
     }
     if (admitted) {
-        shard.cv.notify_one();
+        queueCv.notify_one();
         return;
     }
 
@@ -616,39 +607,37 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
 }
 
 void
-Server::dispatchLoop(Shard &shard)
+Server::dispatchLoop()
 {
     while (true) {
         std::vector<Pending> batch;
         {
-            std::unique_lock<std::mutex> lock(shard.mtx);
-            shard.cv.wait(lock, [&] {
-                return !shard.queue.empty() ||
+            std::unique_lock<std::mutex> lock(queueMtx);
+            queueCv.wait(lock, [&] {
+                return !queue.empty() ||
                        stopping.load(std::memory_order_acquire);
             });
-            if (shard.queue.empty()) {
-                // Shutdown with nothing left: this shard is drained.
-                shard.drained.store(true, std::memory_order_release);
+            if (queue.empty()) {
+                // Shutdown with nothing left: the queue is drained.
+                drained.store(true, std::memory_order_release);
                 wake.notify();
                 return;
             }
-            batch.push_back(std::move(shard.queue.front()));
-            shard.queue.pop_front();
+            batch.push_back(std::move(queue.front()));
+            queue.pop_front();
             // Group immediately-compatible admitted requests into
             // one engine batch (same measurement window, no
             // telemetry): they run as parallel jobs on one engine
             // and share its arena cursors and run-alone cache.
-            const std::string key = batchKey(
-                batch.front().req, shard.service.defaultRecords());
+            const std::string key =
+                batchKey(batch.front().req, service.defaultRecords());
             if (!key.empty()) {
-                for (auto it = shard.queue.begin();
-                     it != shard.queue.end() &&
-                     batch.size() < cfg.batchMax;) {
-                    if (batchKey(it->req,
-                                 shard.service.defaultRecords()) ==
+                for (auto it = queue.begin();
+                     it != queue.end() && batch.size() < cfg.batchMax;) {
+                    if (batchKey(it->req, service.defaultRecords()) ==
                         key) {
                         batch.push_back(std::move(*it));
-                        it = shard.queue.erase(it);
+                        it = queue.erase(it);
                     } else {
                         ++it;
                     }
@@ -656,10 +645,8 @@ Server::dispatchLoop(Shard &shard)
             }
         }
 
-        shard.metrics.dispatched.fetch_add(
-            batch.size(), std::memory_order_relaxed);
-        shard.metrics.lastBatch.store(batch.size(),
-                                      std::memory_order_relaxed);
+        dispatched.fetch_add(batch.size(), std::memory_order_relaxed);
+        lastBatch.store(batch.size(), std::memory_order_relaxed);
 
         // Queue deadlines are enforced here, at dispatch: a request
         // that already waited past its deadline gets an immediate
@@ -686,7 +673,7 @@ Server::dispatchLoop(Shard &shard)
         }
         if (reqs.empty())
             continue;
-        shard.service.executeBatch(
+        service.executeBatch(
             reqs,
             [&](std::size_t i, Json response) {
                 finishResponse(live[i], response);
@@ -859,11 +846,7 @@ Server::flushOut(Connection &conn)
         conn.marks.front().target <= conn.sentBytes) {
         const Clock::time_point flushedAt = Clock::now();
         do {
-            const ReqTrace &t = conn.marks.front().trace;
-            ShardMetrics *sm = t.shard != ReqTrace::kNoShard
-                                   ? &shards[t.shard]->metrics
-                                   : nullptr;
-            metrics.finalize(t, flushedAt, sm);
+            metrics.finalize(conn.marks.front().trace, flushedAt);
             conn.marks.pop_front();
         } while (!conn.marks.empty() &&
                  conn.marks.front().target <= conn.sentBytes);
@@ -912,9 +895,9 @@ Server::healthResult() const
     r["status"] = shuttingDown() ? "draining" : "ok";
     r["version"] = kProtocolVersion;
     r["uptime_ms"] = elapsedMs(started, Clock::now());
-    r["shards"] = std::uint64_t{shards.size()};
-    // Kept for pre-metrics clients that read the old member name.
-    r["serve_shards"] = std::uint64_t{shards.size()};
+    // Always 1 (one dispatcher); kept for clients that read them.
+    r["shards"] = std::uint64_t{1};
+    r["serve_shards"] = std::uint64_t{1};
     return r;
 }
 
@@ -927,14 +910,12 @@ Server::statsJson() const
         std::lock_guard<std::mutex> lock(connsMtx);
         s["connections"] = std::uint64_t{conns.size()};
     }
-    std::uint64_t queued = 0;
-    for (const auto &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard->mtx);
-        queued += shard->queue.size();
+    {
+        std::lock_guard<std::mutex> lock(queueMtx);
+        s["queue_len"] = std::uint64_t{queue.size()};
     }
-    s["queue_len"] = queued;
     s["queue_depth"] = std::uint64_t{cfg.queueDepth};
-    s["serve_shards"] = std::uint64_t{shards.size()};
+    s["serve_shards"] = std::uint64_t{1};
     s["batch_max"] = std::uint64_t{cfg.batchMax};
     s["max_connections"] = std::uint64_t{cfg.maxConnections};
     s["max_outbound_bytes"] = std::uint64_t{cfg.maxOutboundBytes};
@@ -949,32 +930,7 @@ Server::statsJson() const
     s["rejected_shutting_down"] = rejectedShutdown.load();
     s["dropped_responses"] = droppedResponses.load();
     s["slow_clients"] = slowClients.load();
-    // Aggregate the per-shard service counters into one block (the
-    // pre-sharding shape tools already parse); per-engine state like
-    // jobs and the process-global arena counts come from shard 0.
-    // profiles_built is process-global too (the shared ProfileStore):
-    // every shard reports the same store, so summing it would
-    // overcount by the shard count.
-    Json agg = Json::object();
-    bool first = true;
-    for (const auto &shard : shards) {
-        const Json one = shard->service.statsJson();
-        if (first) {
-            agg = one;
-            first = false;
-            continue;
-        }
-        for (const auto &[key, value] : one.members()) {
-            if (key == "jobs" || key == "default_records" ||
-                key == "arena_materializations" ||
-                key == "arena_records" || key == "private_records" ||
-                key == "profiles_built")
-                continue;
-            if (value.isNumber())
-                agg[key] = agg.at(key).asUint() + value.asUint();
-        }
-    }
-    s["service"] = std::move(agg);
+    s["service"] = service.statsJson();
     return s;
 }
 
@@ -1007,7 +963,7 @@ Server::metricsJson() const
         metrics.outboundHwmBytes.load(std::memory_order_relaxed);
     server["metrics_scrapes"] =
         metrics.scrapes.load(std::memory_order_relaxed);
-    server["serve_shards"] = std::uint64_t{shards.size()};
+    server["serve_shards"] = std::uint64_t{1};
     server["metrics_enabled"] = obs::serveMetricsEnabled();
     m["server"] = std::move(server);
 
@@ -1031,37 +987,28 @@ Server::metricsJson() const
     phases["flush"] = metrics.flushUs.snapshot().json();
     m["phases"] = std::move(phases);
 
-    Json shardRows = Json::array();
-    std::uint64_t resultHits = 0, resultMisses = 0, engineHits = 0,
-                  enginesBuilt = 0, estimates = 0, runMix = 0,
-                  runTrace = 0;
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        Shard &shard = *shards[i];
-        Json row = Json::object();
-        row["shard"] = std::uint64_t{i};
-        {
-            std::lock_guard<std::mutex> lock(shard.mtx);
-            row["queue_len"] = std::uint64_t{shard.queue.size()};
-            row["queue_depth_hwm"] = shard.metrics.queueDepthHwm;
-        }
-        row["dispatched"] =
-            shard.metrics.dispatched.load(std::memory_order_relaxed);
-        row["last_batch"] =
-            shard.metrics.lastBatch.load(std::memory_order_relaxed);
-        row["queue_wait"] =
-            shard.metrics.queueWaitUs.snapshot().json();
-        row["execute"] = shard.metrics.executeUs.snapshot().json();
-        Json svc = shard.service.statsJson();
-        resultHits += svcCount(svc, "cache_hits");
-        resultMisses += svcCount(svc, "cache_misses");
-        engineHits += svcCount(svc, "engine_hits");
-        enginesBuilt += svcCount(svc, "engines_built");
-        estimates += svcCount(svc, "estimates");
-        runMix += svcCount(svc, "run_mix");
-        runTrace += svcCount(svc, "run_trace");
-        row["service"] = std::move(svc);
-        shardRows.push(std::move(row));
+    // The dispatcher's row.  `shards` stays a one-element array so
+    // readers of the nucache-metrics/v1 document keep their shape.
+    Json svc = service.statsJson();
+    const std::uint64_t resultHits = svcCount(svc, "cache_hits");
+    const std::uint64_t resultMisses = svcCount(svc, "cache_misses");
+    const std::uint64_t engineHits = svcCount(svc, "engine_hits");
+    const std::uint64_t enginesBuilt = svcCount(svc, "engines_built");
+    const std::uint64_t estimates = svcCount(svc, "estimates");
+    const std::uint64_t runMix = svcCount(svc, "run_mix");
+    const std::uint64_t runTrace = svcCount(svc, "run_trace");
+    Json row = Json::object();
+    row["shard"] = std::uint64_t{0};
+    {
+        std::lock_guard<std::mutex> lock(queueMtx);
+        row["queue_len"] = std::uint64_t{queue.size()};
+        row["queue_depth_hwm"] = queueDepthHwm;
     }
+    row["dispatched"] = dispatched.load(std::memory_order_relaxed);
+    row["last_batch"] = lastBatch.load(std::memory_order_relaxed);
+    row["service"] = std::move(svc);
+    Json shardRows = Json::array();
+    shardRows.push(std::move(row));
     m["shards"] = std::move(shardRows);
 
     Json cache = Json::object();

@@ -5,31 +5,29 @@
  * with explicit admission control in front of the simulation
  * service.
  *
- * Threading model — an event loop, per-shard dispatchers, and the
- * engine workers behind them:
+ * Threading model — an event loop, one dispatcher, and the engine
+ * workers behind it:
  *  - the event-loop thread owns every socket and a level-triggered
  *    epoll set: it accepts connections, splits the byte stream into
  *    request lines, answers the cheap control ops (health, stats,
- *    shutdown) inline, admits run requests to a bounded per-shard
+ *    shutdown) inline, admits run requests to the bounded admission
  *    queue, and flushes per-connection outbound buffers on
  *    EPOLLOUT.  Nothing on this thread ever blocks on a socket: all
  *    fds are nonblocking and every response is queued, so one
  *    stalled client cannot freeze the loop (the head-of-line block
  *    the old single poll thread had);
- *  - each engine shard (`--serve-shards`) runs one dispatcher
- *    thread: it pops admitted requests from its own queue, groups
- *    consecutive compatible ones (equal batchKey(), up to batchMax)
- *    into one engine batch, enforces queue deadlines, and hands the
- *    batch to its own SimulationService (own memoized RunEngines,
- *    own result cache).  Requests hash to shards by measurement
- *    window, so a window's warm engine is always reused;
- *  - the services' engine workers run the simulations and emit
+ *  - the dispatcher thread pops admitted requests from the queue,
+ *    groups consecutive compatible ones (equal batchKey(), up to
+ *    batchMax) into one engine batch, enforces queue deadlines, and
+ *    hands the batch to the SimulationService (memoized RunEngines,
+ *    result cache);
+ *  - the service's engine workers run the simulations and emit
  *    responses back through the connection's response slots.
  *
  * Pipelining: clients may send many request lines before reading.
  * Each request is assigned a per-connection sequence number at parse
  * time and responses are delivered strictly in request order, no
- * matter which shard or worker finishes first (completed responses
+ * matter which worker finishes first (completed responses
  * park in a per-connection reorder map until their turn).  The one
  * exception is a `"stream": true` run, whose frames are delivered
  * out-of-band as they are produced — correlate by id — precisely so
@@ -42,20 +40,19 @@
  * `slow_clients` counter bumps — instead of blocking the loop or
  * growing without bound.
  *
- * Backpressure is explicit: a full shard queue answers `overload`
+ * Backpressure is explicit: a full admission queue answers `overload`
  * immediately instead of stalling the socket, a request older than
  * its deadline answers `deadline_exceeded` instead of burning
  * simulation time, and past the connection cap new sockets get one
  * `overload` line (best-effort, nonblocking) and a close.  Graceful
  * shutdown (SIGINT / SIGTERM / the shutdown op) stops admitting,
- * drains every shard, flushes every response, then exits.
+ * drains the queue, flushes every response, then exits.
  *
  * Observability (serve/server_metrics.hh): every request carries a
  * ReqTrace from parse to flush — the last byte crossing the socket
  * finalizes it into lock-light latency histograms (by request class
- * and by phase), per-shard queue/dispatch metrics, the bounded
- * slow-request sample log, and Chrome-trace spans when `--trace-out`
- * is armed.  The `metrics` op (answered inline, like health) exposes
+ * and by phase), the bounded slow-request sample log, and
+ * Chrome-trace spans when `--trace-out` is armed.  The `metrics` op (answered inline, like health) exposes
  * it all as nucache-metrics/v1 JSON or Prometheus text.
  */
 
@@ -68,7 +65,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -90,14 +86,11 @@ struct ServerConfig
     /** TCP port; 0 binds an ephemeral port (tests), see port(). */
     std::uint16_t port = 7411;
     /**
-     * Engine shards.  Each shard owns one dispatcher thread, one
-     * SimulationService (memoized RunEngines, result cache) and one
-     * admission queue of `queueDepth`; requests hash to shards by
-     * measurement window (see shardOf()).
+     * Must be 1: the server runs one dispatcher.  Kept so callers
+     * that set it still compile; start() rejects any other value.
      */
     std::size_t shards = 1;
-    /** Admission-queue depth per shard; a full queue answers
-     *  `overload`. */
+    /** Admission-queue depth; a full queue answers `overload`. */
     std::size_t queueDepth = 512;
     /** Queue deadline for requests that do not set "deadline_ms". */
     std::uint64_t defaultDeadlineMs = 30'000;
@@ -115,8 +108,7 @@ struct ServerConfig
     /** SO_SNDBUF for accepted sockets; 0 = kernel default.  Tests
      *  shrink it to make slow-client shedding deterministic. */
     int sockSndBufBytes = 0;
-    /** Simulation-side configuration (jobs, caches, windows),
-     *  applied to every shard's service. */
+    /** Simulation-side configuration (jobs, caches, windows). */
     ServiceConfig service;
 };
 
@@ -134,8 +126,9 @@ class Server
 
     /**
      * Bind the listener, create the epoll set, and start the event
-     * loop + one dispatcher thread per shard.
-     * @param err filled with the reason on failure.
+     * loop and the dispatcher thread.
+     * @param err filled with the reason on failure (also when
+     *        `shards` is not 1).
      * @return whether the server is now serving.
      */
     bool start(std::string &err);
@@ -144,7 +137,7 @@ class Server
     std::uint16_t port() const { return boundPort; }
 
     /**
-     * Begin graceful shutdown: stop admitting, drain every shard,
+     * Begin graceful shutdown: stop admitting, drain the queue,
      * flush responses, exit all threads.  Thread-safe; not
      * async-signal-safe (see signalShutdown()).
      */
@@ -166,13 +159,13 @@ class Server
         return stopping.load(std::memory_order_acquire);
     }
 
-    /** @return server + aggregated service counters (op "stats"). */
+    /** @return server + service counters (op "stats"). */
     Json statsJson() const;
 
     /** @return the nucache-metrics/v1 document (op "metrics"):
-     *  latency histograms by request class and phase, per-shard
-     *  queue/dispatch state, cache ratios, process gauges, and the
-     *  slow-request sample log. */
+     *  latency histograms by request class and phase, the
+     *  dispatcher's queue state (the one-row `shards` array), cache
+     *  ratios, process gauges, and the slow-request sample log. */
     Json metricsJson() const;
 
   private:
@@ -235,7 +228,7 @@ class Server
         bool wantWrite = false;
     };
 
-    /** One admitted run request waiting for a shard dispatcher. */
+    /** One admitted run request waiting for the dispatcher. */
     struct Pending
     {
         Request req;
@@ -249,23 +242,8 @@ class Server
         ReqTrace trace;
     };
 
-    /** One engine shard: dispatcher + service + admission queue. */
-    struct Shard
-    {
-        explicit Shard(const ServiceConfig &cfg) : service(cfg) {}
-        SimulationService service;
-        std::thread thread;
-        std::mutex mtx;
-        std::condition_variable cv;
-        std::deque<Pending> queue;
-        std::atomic<bool> drained{false};
-        /** Queue depth high-water, dispatch counters, per-shard
-         *  phase histograms. */
-        ShardMetrics metrics;
-    };
-
     void eventLoop();
-    void dispatchLoop(Shard &shard);
+    void dispatchLoop();
 
     /** Accept until EAGAIN, enforcing the connection cap. */
     void acceptPending();
@@ -331,7 +309,7 @@ class Server
     std::uint16_t boundPort = 0;
     Clock::time_point started;
 
-    std::vector<std::unique_ptr<Shard>> shards;
+    SimulationService service;
     std::thread loopThread;
     /** Set by the event loop at entry; responses queued *from* the
      *  loop thread skip the wake-pipe syscall (the loop flushes its
@@ -368,8 +346,23 @@ class Server
     std::atomic<std::uint64_t> droppedResponses{0};
     std::atomic<std::uint64_t> slowClients{0};
 
+    /** The admission queue and the dispatcher's state. */
+    mutable std::mutex queueMtx;
+    std::condition_variable queueCv;
+    std::deque<Pending> queue;
+    /** Deepest the queue has been (guarded by queueMtx). */
+    std::uint64_t queueDepthHwm = 0;
+    /** Set by the dispatcher once stopping with an empty queue. */
+    std::atomic<bool> drained{false};
+    /** Requests popped by the dispatcher; size of its last batch. */
+    std::atomic<std::uint64_t> dispatched{0};
+    std::atomic<std::uint64_t> lastBatch{0};
+
     /** Latency histograms, outbound gauges, slow-request log. */
     mutable ServerMetrics metrics;
+
+    /** Declared after every member the dispatcher uses. */
+    std::thread dispatchThread;
 };
 
 } // namespace nucache::serve

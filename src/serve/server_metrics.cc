@@ -105,8 +105,7 @@ SlowRequestLog::json() const
 
 void
 ServerMetrics::finalize(const ReqTrace &trace,
-                        ReqTrace::Clock::time_point flushed,
-                        ShardMetrics *shard)
+                        ReqTrace::Clock::time_point flushed)
 {
     if (!trace.live)
         return;
@@ -118,8 +117,6 @@ ServerMetrics::finalize(const ReqTrace &trace,
     if (trace.dispatched != Clock::time_point{}) {
         queueNs = nsBetween(trace.enqueued, trace.dispatched);
         queueWaitUs.recordNs(queueNs);
-        if (shard != nullptr)
-            shard->queueWaitUs.recordNs(queueNs);
     }
     if (trace.executed != Clock::time_point{}) {
         const Clock::time_point from =
@@ -127,8 +124,6 @@ ServerMetrics::finalize(const ReqTrace &trace,
                                                     : trace.parsed;
         execNs = nsBetween(from, trace.executed);
         executeUs.recordNs(execNs);
-        if (shard != nullptr)
-            shard->executeUs.recordNs(execNs);
     }
     if (trace.queued != Clock::time_point{}) {
         flushNs = nsBetween(trace.queued, flushed);

@@ -48,11 +48,11 @@ enum class RequestClass : unsigned
     CacheHit,
     /** Analytical-model answer evaluated inline (warm profiles). */
     EstimateInline,
-    /** Exact simulation through a shard dispatcher. */
+    /** Exact simulation through the dispatcher. */
     Exact,
-    /** Analytical-model answer through a shard dispatcher. */
+    /** Analytical-model answer through the dispatcher. */
     Estimate,
-    /** run_trace through a shard dispatcher. */
+    /** run_trace through the dispatcher. */
     Trace,
     /** health / stats / metrics / shutdown, answered inline. */
     Control,
@@ -70,14 +70,11 @@ const char *requestClassName(RequestClass cls);
 struct ReqTrace
 {
     using Clock = std::chrono::steady_clock;
-    static constexpr std::uint32_t kNoShard = 0xffffffffu;
 
     RequestClass cls = RequestClass::Control;
     /** Whether stamps are being taken (serveMetricsEnabled() at
      *  parse time); a dead trace is never finalized. */
     bool live = false;
-    /** Dispatch shard, kNoShard for inline answers. */
-    std::uint32_t shard = kNoShard;
 
     Clock::time_point parsed{};
     Clock::time_point enqueued{};
@@ -121,20 +118,6 @@ class SlowRequestLog
     std::vector<Entry> entries;
 };
 
-/** Per-shard dispatch metrics (owned by the Server's Shard). */
-struct ShardMetrics
-{
-    /** Deepest admission queue seen (guarded by the shard's mtx,
-     *  updated at admission). */
-    std::uint64_t queueDepthHwm = 0;
-    /** Requests popped by this shard's dispatcher. */
-    std::atomic<std::uint64_t> dispatched{0};
-    /** Size of the most recent engine batch. */
-    std::atomic<std::uint64_t> lastBatch{0};
-    obs::LatencyHistogram queueWaitUs;
-    obs::LatencyHistogram executeUs;
-};
-
 /** Process-wide server metrics (owned by the Server). */
 struct ServerMetrics
 {
@@ -174,20 +157,18 @@ struct ServerMetrics
 
     /**
      * Finalize @p trace at @p flushed (its last byte hit the
-     * socket): record the class/phase histograms — and the per-shard
-     * ones when @p shard is non-null — offer the slow log, and emit
-     * Tracer spans when tracing is armed.
+     * socket): record the class/phase histograms, offer the slow
+     * log, and emit Tracer spans when tracing is armed.
      */
     void finalize(const ReqTrace &trace,
-                  ReqTrace::Clock::time_point flushed,
-                  ShardMetrics *shard);
+                  ReqTrace::Clock::time_point flushed);
 };
 
 /**
  * @return the Prometheus text exposition (format version 0.0.4) of a
  * nucache-metrics/v1 document: counters and gauges from the server /
  * process / cache blocks, cumulative-bucket histograms from the
- * request-class and phase series, and per-shard queue gauges.
+ * request-class and phase series, and the dispatcher's queue gauges.
  * Tolerates missing blocks (renders what is present).
  */
 std::string prometheusText(const Json &metrics);

@@ -25,9 +25,10 @@ using Clock = std::chrono::steady_clock;
 /**
  * Process-wide telemetry gate.  Telemetry runs mutate process-wide
  * observer state (obs::setTelemetryInterval and the TelemetryHub),
- * so with engine shards running batches concurrently a telemetry run
- * must exclude *every* other simulation, not just its own shard's:
- * ordinary runs hold this shared, telemetry runs hold it exclusively.
+ * so with several services running batches concurrently in one
+ * process a telemetry run must exclude *every* other simulation, not
+ * just its own service's: ordinary runs hold this shared, telemetry
+ * runs hold it exclusively.
  */
 std::shared_mutex gTelemetryGate;
 
@@ -424,8 +425,8 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
         // run_mix with telemetry attachment: exclusive execution (the
         // sampling interval and the TelemetryHub are process-wide, so
         // nothing else may build Systems while it runs — guaranteed
-        // by the exclusive telemetry gate across every shard plus the
-        // serial per-shard dispatcher leaving this engine idle here).
+        // by the exclusive telemetry gate across every service plus
+        // the serial dispatcher leaving this engine idle here).
         {
             std::lock_guard<std::mutex> lock(mtx);
             ++stats.runMix;

@@ -11,14 +11,14 @@
  * The service is transport-free (no sockets): the Server's
  * dispatcher feeds it admitted batches, and tests can drive it
  * directly.  executeBatch() must not be called concurrently with
- * itself *on one instance* (one dispatcher per service); the Server
- * runs one instance per engine shard (`--serve-shards`), so distinct
- * instances do run concurrently.  A process-wide reader/writer gate
- * keeps telemetry runs exclusive across every shard: telemetry
- * mutates process-wide observer state (the sampling interval and the
- * TelemetryHub), so a telemetry run takes the gate exclusively while
- * ordinary runs on other shards hold it shared.  The stats accessors
- * are thread-safe.
+ * itself *on one instance* (the Server's one dispatcher feeds its
+ * one instance), but a process may hold several instances — tests
+ * and benchmarks do — and those run concurrently.  A process-wide
+ * reader/writer gate keeps telemetry runs exclusive across every
+ * instance: telemetry mutates process-wide observer state (the
+ * sampling interval and the TelemetryHub), so a telemetry run takes
+ * the gate exclusively while ordinary runs elsewhere hold it
+ * shared.  The stats accessors are thread-safe.
  */
 
 #ifndef NUCACHE_SERVE_SERVICE_HH

@@ -4,8 +4,8 @@
  * over a real TCP socket, result-cache and run-alone/arena reuse,
  * concurrent clients, hostile input (garbage and oversized lines),
  * explicit backpressure on a full admission queue, pipelined in-order
- * delivery, slow-client shedding, streamed telemetry frames, engine
- * shards, and shutdown draining admitted work.
+ * delivery, slow-client shedding, streamed telemetry frames, the
+ * one-dispatcher configuration, and shutdown draining admitted work.
  */
 
 #include <gtest/gtest.h>
@@ -110,9 +110,7 @@ const char *kMixLine =
 
 TEST_F(ServeTest, HealthRoundTrip)
 {
-    serve::ServerConfig cfg = baseConfig();
-    cfg.shards = 2;
-    startServer(cfg);
+    startServer(baseConfig());
     TestClient client(server->port());
     const Json doc = client.call(R"({"op":"health","id":3})");
     EXPECT_TRUE(doc.at("ok").asBool());
@@ -121,7 +119,18 @@ TEST_F(ServeTest, HealthRoundTrip)
     EXPECT_EQ(result.at("status").asString(), "ok");
     EXPECT_EQ(result.at("version").asString(), "nucache-rpc/v1");
     EXPECT_TRUE(result.at("uptime_ms").isNumber());
-    EXPECT_EQ(result.at("shards").asUint(), 2u);
+    EXPECT_EQ(result.at("shards").asUint(), 1u);
+}
+
+TEST_F(ServeTest, StartRejectsMoreThanOneShard)
+{
+    serve::ServerConfig cfg = baseConfig();
+    cfg.shards = 2;
+    serve::Server srv(cfg);
+    std::string err;
+    EXPECT_FALSE(srv.start(err));
+    EXPECT_NE(err.find("shards = 2"), std::string::npos) << err;
+    EXPECT_EQ(srv.port(), 0);
 }
 
 TEST_F(ServeTest, RunMixResultsAndCacheReuse)
@@ -549,15 +558,13 @@ TEST_F(ServeTest, StreamWithoutTelemetryIsRejected)
     EXPECT_EQ(doc.at("error").at("code").asString(), "bad_request");
 }
 
-TEST_F(ServeTest, ShardedServerServesDistinctWindows)
+TEST_F(ServeTest, DistinctWindowsServeAndCacheIndependently)
 {
-    serve::ServerConfig cfg = baseConfig();
-    cfg.shards = 2;
-    startServer(cfg);
+    startServer(baseConfig());
     TestClient client(server->port());
 
-    // Distinct measurement windows hash to (potentially) different
-    // shards; both must serve and cache independently.
+    // Distinct measurement windows run on distinct engines behind the
+    // one dispatcher; both must serve and cache independently.
     const char *win_a =
         R"({"op":"run_mix","id":1,"params":{"mix":"mix2_01",)"
         R"("records":2000}})";
@@ -581,7 +588,7 @@ TEST_F(ServeTest, ShardedServerServesDistinctWindows)
               b1.at("result").at("weighted_speedup").str(0));
 
     const Json stats = client.call(R"({"op":"stats"})");
-    EXPECT_EQ(stats.at("result").at("serve_shards").asUint(), 2u);
+    EXPECT_EQ(stats.at("result").at("serve_shards").asUint(), 1u);
 }
 
 TEST_F(ServeTest, EstimateModeAnswersFromTheModel)
@@ -665,9 +672,7 @@ TEST_F(ServeTest, EstimateAndExactResultsAreCachedSeparately)
 TEST_F(ServeTest, MetricsOpReportsRequestClassesAndShards)
 {
     model::ProfileStore::instance().clear();
-    serve::ServerConfig cfg = baseConfig();
-    cfg.shards = 2;
-    startServer(cfg);
+    startServer(baseConfig());
     TestClient client(server->port());
 
     // One exact run (dispatched), its cached repeat (inline), and an
@@ -687,7 +692,7 @@ TEST_F(ServeTest, MetricsOpReportsRequestClassesAndShards)
 
     const Json &srv = m.at("server");
     EXPECT_GE(srv.at("requests").asUint(), 4u);
-    EXPECT_EQ(srv.at("serve_shards").asUint(), 2u);
+    EXPECT_EQ(srv.at("serve_shards").asUint(), 1u);
     EXPECT_GT(srv.at("outbound_hwm_bytes").asUint(), 0u);
     EXPECT_GE(srv.at("metrics_scrapes").asUint(), 1u);
     EXPECT_GT(m.at("process").at("rss_bytes").asUint(), 0u);
@@ -702,18 +707,20 @@ TEST_F(ServeTest, MetricsOpReportsRequestClassesAndShards)
     EXPECT_GE(m.at("phases").at("execute").at("count").asUint(), 2u);
     EXPECT_GE(m.at("phases").at("flush").at("count").asUint(), 3u);
 
-    // Per-shard rows: both shards present, the dispatch counters sum
-    // to the dispatched (non-inline) requests.
+    // The dispatcher's one row: its dispatch counter covers the
+    // dispatched (non-inline) requests; the phase histograms live in
+    // `phases` only.
     const Json &shards = m.at("shards");
-    ASSERT_EQ(shards.size(), 2u);
-    std::uint64_t dispatched = 0;
-    for (const Json &s : shards.elements()) {
-        dispatched += s.at("dispatched").asUint();
-        EXPECT_TRUE(s.at("queue_len").isNumber());
-        EXPECT_TRUE(s.at("queue_depth_hwm").isNumber());
-        EXPECT_TRUE(s.at("service").isObject());
-    }
-    EXPECT_GE(dispatched, 2u);
+    ASSERT_EQ(shards.size(), 1u);
+    const Json &row = shards.at(0);
+    EXPECT_EQ(row.at("shard").asUint(), 0u);
+    EXPECT_GE(row.at("dispatched").asUint(), 2u);
+    EXPECT_TRUE(row.at("queue_len").isNumber());
+    EXPECT_TRUE(row.at("queue_depth_hwm").isNumber());
+    EXPECT_TRUE(row.at("last_batch").isNumber());
+    EXPECT_TRUE(row.at("service").isObject());
+    EXPECT_EQ(row.find("queue_wait"), nullptr);
+    EXPECT_EQ(row.find("execute"), nullptr);
 
     const Json &cache = m.at("cache");
     EXPECT_GE(cache.at("result_hits").asUint(), 1u);
@@ -747,17 +754,13 @@ TEST_F(ServeTest, MetricsPrometheusFormat)
               std::string::npos);
 }
 
-TEST_F(ServeTest, TwoShardStatsCountProfilesOnce)
+TEST_F(ServeTest, StatsReportProcessGlobalCountsOnce)
 {
-    // profiles_built comes from the process-global ProfileStore (and
+    // profiles_built comes from the process-global ProfileStore, and
     // arena_records and private_records from the process-global
-    // TraceArena), so the
-    // per-shard aggregation must keep one copy instead of summing the
-    // same store once per shard.
+    // TraceArena: stats must report each store's own count.
     model::ProfileStore::instance().clear();
-    serve::ServerConfig cfg = baseConfig();
-    cfg.shards = 2;
-    startServer(cfg);
+    startServer(baseConfig());
     TestClient client(server->port());
 
     ASSERT_TRUE(client

@@ -718,7 +718,7 @@ summarizeMetrics(const Json &doc)
     }
     if (const Json *shards = doc.find("shards");
         shards != nullptr && shards->isArray()) {
-        std::cout << "\nper-shard dispatch\n";
+        std::cout << "\ndispatcher\n";
         TextTable t;
         t.header({"shard", "queue", "hwm", "dispatched",
                   "last_batch"});

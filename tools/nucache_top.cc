@@ -7,8 +7,9 @@
  *  - server totals: req/s since the previous sample, connections,
  *    outbound buffer occupancy and high-water mark, slow-client sheds
  *    and overloads;
- *  - per-shard rows: dispatch rate, queue depth now / high-water,
- *    last batch size, and a sparkline of recent queue depths;
+ *  - the dispatcher row: dispatch rate, queue depth now /
+ *    high-water, last batch size, and a sparkline of recent queue
+ *    depths;
  *  - per-class latency percentiles (p50/p99 us) from the server's
  *    log2 histograms;
  *  - the slow-request log (top total latency with phase breakdown).
@@ -29,7 +30,6 @@
 #include <cstdio>
 #include <deque>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,7 +54,7 @@ struct Sample
 {
     Clock::time_point at{};
     std::uint64_t requests = 0;
-    std::map<std::uint64_t, std::uint64_t> shardDispatched;
+    std::uint64_t dispatched = 0;
 };
 
 std::uint64_t
@@ -84,8 +84,7 @@ fmtRate(double per_s, bool have)
 
 /** Render one metrics document; updates rate and sparkline state. */
 void
-render(const Json &m, Sample &prev,
-       std::map<std::uint64_t, std::deque<double>> &depths)
+render(const Json &m, Sample &prev, std::deque<double> &depths)
 {
     const Clock::time_point now = Clock::now();
     const bool haveRate = prev.at != Clock::time_point{};
@@ -104,14 +103,11 @@ render(const Json &m, Sample &prev,
         haveRate && dt > 0.0
             ? static_cast<double>(requests - prev.requests) / dt
             : 0.0;
-    std::printf("nucached up %.0f s  |  %s req/s  "
-                "%llu conns  %llu shards\n",
+    std::printf("nucached up %.0f s  |  %s req/s  %llu conns\n",
                 doubleAt(*server, "uptime_ms") / 1000.0,
                 fmtRate(rps, haveRate).c_str(),
                 static_cast<unsigned long long>(
-                    numberAt(*server, "connections")),
-                static_cast<unsigned long long>(
-                    numberAt(*server, "serve_shards")));
+                    numberAt(*server, "connections")));
     std::printf("totals: %llu requests  %llu responses  "
                 "%llu errors  %llu overloads  %llu slow-client sheds\n",
                 static_cast<unsigned long long>(requests),
@@ -142,39 +138,29 @@ render(const Json &m, Sample &prev,
     cur.at = now;
     cur.requests = requests;
 
+    // The metrics document's `shards` array holds one row: the
+    // server's dispatcher.
     if (const Json *shards = m.find("shards");
-        shards != nullptr && shards->isArray()) {
+        shards != nullptr && shards->isArray() && shards->size() != 0) {
+        const Json &s = shards->at(0);
+        cur.dispatched = numberAt(s, "dispatched");
+        const double rate =
+            haveRate && dt > 0.0
+                ? static_cast<double>(cur.dispatched - prev.dispatched) /
+                      dt
+                : 0.0;
+        depths.push_back(static_cast<double>(numberAt(s, "queue_len")));
+        while (depths.size() > 32)
+            depths.pop_front();
         std::cout << "\n";
         TextTable t;
-        t.header({"shard", "disp/s", "queue", "hwm", "batch",
-                  "depth trend"});
-        for (const Json &s : shards->elements()) {
-            const std::uint64_t idx = numberAt(s, "shard");
-            const std::uint64_t dispatched =
-                numberAt(s, "dispatched");
-            cur.shardDispatched[idx] = dispatched;
-            double shardRate = 0.0;
-            const auto it = prev.shardDispatched.find(idx);
-            if (haveRate && dt > 0.0 &&
-                it != prev.shardDispatched.end()) {
-                shardRate = static_cast<double>(dispatched -
-                                                it->second) /
-                            dt;
-            }
-            std::deque<double> &history = depths[idx];
-            history.push_back(
-                static_cast<double>(numberAt(s, "queue_len")));
-            while (history.size() > 32)
-                history.pop_front();
-            t.row()
-                .cell(idx)
-                .cell(fmtRate(shardRate, haveRate))
-                .cell(numberAt(s, "queue_len"))
-                .cell(numberAt(s, "queue_depth_hwm"))
-                .cell(numberAt(s, "last_batch"))
-                .cell(sparkline({history.begin(), history.end()},
-                                32));
-        }
+        t.header({"disp/s", "queue", "hwm", "batch", "depth trend"});
+        t.row()
+            .cell(fmtRate(rate, haveRate))
+            .cell(numberAt(s, "queue_len"))
+            .cell(numberAt(s, "queue_depth_hwm"))
+            .cell(numberAt(s, "last_batch"))
+            .cell(sparkline({depths.begin(), depths.end()}, 32));
         t.print(std::cout);
     }
 
@@ -246,7 +232,7 @@ main(int argc, char **argv)
     line += '\n';
 
     Sample prev;
-    std::map<std::uint64_t, std::deque<double>> depths;
+    std::deque<double> depths;
     int exitCode = 0;
     for (;;) {
         std::string response;

@@ -2,21 +2,19 @@
  * @file
  * nucached: the persistent NUcache simulation server.  Listens on an
  * IPv4 TCP socket, speaks newline-delimited `nucache-rpc/v1` JSON
- * (see src/serve/protocol.hh), batches compatible run_mix requests
- * onto a shared RunEngine, and answers health/stats probes.
+ * (see src/serve/protocol.hh), and runs one dispatcher that batches
+ * compatible run_mix requests onto a shared RunEngine; health/stats
+ * probes are answered on the event loop.
  *
  * Usage:
  *   nucached [--host=127.0.0.1] [--port=7411] [--jobs=N]
- *            [--serve-shards=1] [--records=250000]
+ *            [--records=250000]
  *            [--queue-depth=512] [--batch-max=8]
  *            [--deadline-ms=30000] [--max-conns=1024] [--cache=256]
  *            [--max-outbound-kib=8192]
  *            [--check] [--port-file=FILE] [--trace-out=FILE]
  *            [--quiet]
  *
- * --serve-shards runs N independent engine shards, each with its own
- * dispatcher thread, memoized engines, result cache and admission
- * queue; requests hash to shards by measurement window.
  * --max-outbound-kib caps each connection's outbound buffer: a
  * client that stops reading past the cap is shed (slow_clients in
  * stats) instead of blocking the event loop.
@@ -75,9 +73,10 @@ main(int argc, char **argv)
         args.getInt("deadline-ms", cfg.defaultDeadlineMs);
     cfg.batchMax = args.getInt("batch-max", cfg.batchMax);
     cfg.maxConnections = args.getInt("max-conns", cfg.maxConnections);
-    cfg.shards = args.getInt("serve-shards", cfg.shards);
-    if (cfg.shards == 0 || cfg.shards > 64)
-        fatal("--serve-shards must be in [1, 64]");
+    // Unknown flags are otherwise ignored; this one would silently
+    // change nothing, so say why it is gone.
+    if (args.has("serve-shards"))
+        fatal("--serve-shards was removed: nucached runs one dispatcher");
     cfg.maxOutboundBytes =
         args.getInt("max-outbound-kib", cfg.maxOutboundBytes / 1024) *
         std::size_t{1024};
@@ -115,10 +114,10 @@ main(int argc, char **argv)
     // The "listening" line is the readiness signal scripts wait for;
     // --port-file additionally persists the (possibly ephemeral)
     // bound port for them.
-    std::printf("nucached listening on %s:%u (jobs=%u, shards=%zu, "
-                "queue=%zu, batch=%zu, records=%llu)\n",
+    std::printf("nucached listening on %s:%u (jobs=%u, queue=%zu, "
+                "batch=%zu, records=%llu)\n",
                 cfg.host.c_str(), server.port(), cfg.service.jobs,
-                cfg.shards, cfg.queueDepth, cfg.batchMax,
+                cfg.queueDepth, cfg.batchMax,
                 static_cast<unsigned long long>(
                     cfg.service.defaultRecords));
     std::fflush(stdout);
