@@ -572,7 +572,9 @@ main(int argc, char **argv)
     // plane (per-request tracing + histograms) costs nothing beyond
     // noise on the hottest path, the inline result-cache hit.  Trials
     // alternate metrics off/on so drift (thermal, page cache, noisy
-    // neighbours) hits both arms equally; the gate compares medians.
+    // neighbours) hits both arms of a pair alike; the gated ratio is
+    // the median of the per-pair on/off ratios, as private_memo gates
+    // its trials, so one descheduled run cannot move it.
     Json &serveSec = report.section("serve_loopback", "serve_ab");
     {
         serve::ServerConfig scfg;
@@ -598,7 +600,7 @@ main(int argc, char **argv)
         serveLoopbackRps(server.port(), conns, per_conn / 2,
                          hit_line);
 
-        std::vector<double> off_rps, on_rps;
+        std::vector<double> off_rps, on_rps, pair_ratios;
         for (unsigned p = 0; p < pairs; ++p) {
             obs::setServeMetricsEnabled(false);
             off_rps.push_back(serveLoopbackRps(server.port(), conns,
@@ -606,24 +608,31 @@ main(int argc, char **argv)
             obs::setServeMetricsEnabled(true);
             on_rps.push_back(serveLoopbackRps(server.port(), conns,
                                               per_conn, hit_line));
+            pair_ratios.push_back(
+                off_rps.back() > 0.0 ? on_rps.back() / off_rps.back()
+                                     : 0.0);
         }
         obs::setServeMetricsEnabled(true);
 
         const double off_med = median(off_rps);
         const double on_med = median(on_rps);
-        const double ratio = off_med > 0.0 ? on_med / off_med : 0.0;
+        const double ratio = median(pair_ratios);
         const bool within = ratio >= tolerance;
 
         serveSec["connections"] = std::uint64_t{conns};
         serveSec["requests_per_connection"] = std::uint64_t{per_conn};
         serveSec["pairs"] = std::uint64_t{pairs};
-        Json offArr = Json::array(), onArr = Json::array();
+        Json offArr = Json::array(), onArr = Json::array(),
+             ratioArr = Json::array();
         for (const double r : off_rps)
             offArr.push(r);
         for (const double r : on_rps)
             onArr.push(r);
+        for (const double r : pair_ratios)
+            ratioArr.push(r);
         serveSec["rps_off"] = std::move(offArr);
         serveSec["rps_on"] = std::move(onArr);
+        serveSec["pair_ratios"] = std::move(ratioArr);
         serveSec["median_off_rps"] = off_med;
         serveSec["median_on_rps"] = on_med;
         serveSec["ab_ratio"] = ratio;
@@ -634,7 +643,7 @@ main(int argc, char **argv)
                   << " reqs, " << pairs << " off/on pairs\n"
                   << "metrics off median " << off_med / 1000.0
                   << " kreq/s, on median " << on_med / 1000.0
-                  << " kreq/s, ratio " << ratio
+                  << " kreq/s, median pair ratio " << ratio
                   << (within ? " (within noise)\n"
                              : " (REGRESSION)\n");
 

@@ -1,5 +1,7 @@
 #include "mem/hierarchy.hh"
 
+#include <initializer_list>
+
 #include "common/logging.hh"
 #include "mem/lru.hh"
 
@@ -56,13 +58,35 @@ privateOutcomesLoggable(const HierarchyConfig &config)
 std::string
 privateLevelsKey(const HierarchyConfig &config)
 {
-    const auto geometry = [](const CacheConfig &c) {
-        return std::to_string(c.sizeBytes) + "/" + std::to_string(c.ways) +
-            "/" + std::to_string(c.blockSize);
-    };
-    std::string key = "l1:" + geometry(config.l1);
+    HierarchyConfig priv;
+    priv.l1 = config.l1;
+    priv.enableL2 = config.enableL2;
     if (config.enableL2)
-        key += ",l2:" + geometry(config.l2);
+        priv.l2 = config.l2;
+    return hierarchyKey(priv);
+}
+
+std::string
+hierarchyKey(const HierarchyConfig &config)
+{
+    // Fixed field order and count, so the rendering is unambiguous.
+    std::string key;
+    const auto add = [&key](std::initializer_list<std::uint64_t> fields) {
+        for (const std::uint64_t f : fields) {
+            key += std::to_string(f);
+            key += '/';
+        }
+    };
+    for (const CacheConfig *c : {&config.llc, &config.l1, &config.l2}) {
+        add({c->sizeBytes, c->ways, c->blockSize});
+        key += c->defense;
+        key += '|';
+    }
+    add({config.enableL2, config.l1Latency, config.l2Latency,
+         config.llcLatency, config.dram.latency, config.dram.occupancy,
+         config.dram.channels, config.prefetch.enabled,
+         config.prefetch.tableEntries, config.prefetch.degree,
+         config.inclusive, config.numCores});
     return key;
 }
 

@@ -114,9 +114,19 @@ bool privateOutcomesLoggable(const HierarchyConfig &config);
 
 /**
  * @return a key naming every field the private outcomes of a
- * privateOutcomesLoggable() hierarchy depend on: the private geometry.
+ * privateOutcomesLoggable() hierarchy depend on: hierarchyKey() of
+ * its private geometry alone.
  */
 std::string privateLevelsKey(const HierarchyConfig &config);
+
+/**
+ * @return a key naming every field of @p config that can change a
+ * run: each level's geometry and defense, enableL2, the latencies,
+ * the DRAM model, the prefetcher, inclusion and the core count (not
+ * the cache names, which only label statistics).  The LLC comes
+ * first, so keys that differ only in LLC size differ early.
+ */
+std::string hierarchyKey(const HierarchyConfig &config);
 
 /**
  * Owns the cache levels and routes accesses through them.

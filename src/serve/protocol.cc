@@ -1,10 +1,10 @@
 #include "serve/protocol.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "attack/attack.hh"
 #include "common/bitutil.hh"
+#include "mem/hierarchy.hh"
 #include "mem/rand_index.hh"
 #include "model/predictor.hh"
 #include "obs/obs_mode.hh"
@@ -475,22 +475,19 @@ requestHierarchy(const Request &req)
     return hier;
 }
 
-std::string
-batchKey(const Request &req, std::uint64_t default_records)
+bool
+sameBatch(const Request &a, const Request &b,
+          std::uint64_t default_records)
 {
-    if (req.op != Op::RunMix || req.telemetry != 0)
-        return "";
+    const auto batchable = [](const Request &r) {
+        return r.op == Op::RunMix && r.telemetry == 0;
+    };
     // Estimates never touch an engine, so they gain nothing from
-    // sharing a batch with exact runs; still keyed (separately) so
-    // bursts of estimate traffic drain as one dispatch.
-    if (req.mode == Mode::Estimate) {
-        const std::uint64_t records =
-            req.records != 0 ? req.records : default_records;
-        return "estimate|records=" + std::to_string(records);
-    }
-    const std::uint64_t records =
-        req.records != 0 ? req.records : default_records;
-    return "run_mix|records=" + std::to_string(records);
+    // sharing a batch with exact runs; bursts of them still drain as
+    // one dispatch.
+    return batchable(a) && batchable(b) && a.mode == b.mode &&
+        requestRecords(a, default_records) ==
+            requestRecords(b, default_records);
 }
 
 std::string
@@ -498,27 +495,24 @@ cacheKey(const Request &req, std::uint64_t default_records)
 {
     if (req.op != Op::RunMix || req.telemetry != 0 || req.noCache)
         return "";
-    // Key audit — every field that can change the response bytes is
-    // rendered here:
-    //   mix identity, policy spec, measurement window, resolved LLC
-    //   geometry (llc_kib/llc_ways fold into sizeBytes/ways), the
-    //   randomized-index defense (scrambling changes every set index,
-    //   so hit rates differ from the plain-indexed run), and the
-    //   execution tier (an estimate must never be served for an
-    //   exact request or vice versa).
-    const HierarchyConfig hier = requestHierarchy(req);
-    std::ostringstream key;
-    key << "run_mix|" << req.mix.name;
-    for (const auto &w : req.mix.workloads)
-        key << "+" << w;
-    key << "|" << req.policy << "|"
-        << (req.records != 0 ? req.records : default_records) << "|"
-        << hier.llc.sizeBytes << "/" << hier.llc.ways;
-    if (!req.llcDefense.empty())
-        key << "|defense=" << req.llcDefense;
-    if (req.mode == Mode::Estimate)
-        key << "|estimate";
-    return key.str();
+    // Every field that can change the response bytes: the mix, the
+    // policy spec, the window, the tier (an estimate must never answer
+    // an exact request or vice versa), then the whole simulated
+    // hierarchy, into which llc_kib, llc_ways and llc_defense fold.
+    // The hierarchy goes last: keys mostly differ in the request's
+    // own fields, so map compares stop early.
+    std::string key = req.mix.name;
+    for (const auto &w : req.mix.workloads) {
+        key += '+';
+        key += w;
+    }
+    key += '|';
+    key += req.policy;
+    key += '|';
+    key += std::to_string(requestRecords(req, default_records));
+    key += req.mode == Mode::Estimate ? "|estimate|" : "|exact|";
+    key += hierarchyKey(requestHierarchy(req));
+    return key;
 }
 
 Json

@@ -194,19 +194,27 @@ bool parseRequest(const std::string &line, Request &out,
  */
 HierarchyConfig requestHierarchy(const Request &req);
 
-/**
- * @return the admission-batching compatibility key of @p req: two
- * requests with equal keys may be dispatched as one engine batch
- * (same measurement window and hierarchy, both telemetry-free).
- * Empty when @p req must run exclusively (telemetry attachment).
- */
-std::string batchKey(const Request &req, std::uint64_t default_records);
+/** @return @p req's "records", or @p default_records if it has none. */
+inline std::uint64_t
+requestRecords(const Request &req, std::uint64_t default_records)
+{
+    return req.records != 0 ? req.records : default_records;
+}
 
 /**
- * @return the result-cache key of @p req — a canonical rendering of
- * every simulation-relevant parameter.  Deterministic simulation
- * makes caching sound: equal keys imply byte-equal results.  Empty
- * when the request is uncacheable (telemetry, no_cache, non-run ops).
+ * @return whether @p a and @p b may be dispatched as one batch: both
+ * telemetry-free run_mix requests of one tier and one window.  Their
+ * hierarchies may differ: a batch shares an engine, which is per window.
+ */
+bool sameBatch(const Request &a, const Request &b,
+               std::uint64_t default_records);
+
+/**
+ * @return the result-cache key of @p req: the request's own fields
+ * (mix, policy, window, tier), then hierarchyKey() of the hierarchy
+ * it simulates.  Deterministic simulation makes caching sound: equal
+ * keys imply byte-equal results.  Empty when the request is
+ * uncacheable (telemetry, no_cache, non-run ops).
  */
 std::string cacheKey(const Request &req, std::uint64_t default_records);
 

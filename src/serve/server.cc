@@ -626,21 +626,17 @@ Server::dispatchLoop()
             batch.push_back(std::move(queue.front()));
             queue.pop_front();
             // Group immediately-compatible admitted requests into
-            // one engine batch (same measurement window, no
-            // telemetry): they run as parallel jobs on one engine
-            // and share its arena cursors and run-alone cache.
-            const std::string key =
-                batchKey(batch.front().req, service.defaultRecords());
-            if (!key.empty()) {
-                for (auto it = queue.begin();
-                     it != queue.end() && batch.size() < cfg.batchMax;) {
-                    if (batchKey(it->req, service.defaultRecords()) ==
-                        key) {
-                        batch.push_back(std::move(*it));
-                        it = queue.erase(it);
-                    } else {
-                        ++it;
-                    }
+            // one engine batch (sameBatch: one tier and measurement
+            // window, no telemetry): they run as parallel jobs on one
+            // engine and share its arena cursors and run-alone cache.
+            for (auto it = queue.begin();
+                 it != queue.end() && batch.size() < cfg.batchMax;) {
+                if (sameBatch(batch.front().req, it->req,
+                              service.defaultRecords())) {
+                    batch.push_back(std::move(*it));
+                    it = queue.erase(it);
+                } else {
+                    ++it;
                 }
             }
         }

@@ -17,8 +17,8 @@
  *    stalled client cannot freeze the loop (the head-of-line block
  *    the old single poll thread had);
  *  - the dispatcher thread pops admitted requests from the queue,
- *    groups consecutive compatible ones (equal batchKey(), up to
- *    batchMax) into one engine batch, enforces queue deadlines, and
+ *    groups compatible ones (sameBatch(): one tier and window, up
+ *    to batchMax) into one engine batch, enforces queue deadlines, and
  *    hands the batch to the SimulationService (memoized RunEngines,
  *    result cache);
  *  - the service's engine workers run the simulations and emit

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <shared_mutex>
 
-#include "check/check_mode.hh"
 #include "model/predictor.hh"
 #include "model/profile.hh"
 #include "obs/obs_mode.hh"
@@ -34,6 +33,10 @@ std::shared_mutex gTelemetryGate;
 
 /** Serialized-size budget of one streamed telemetry frame. */
 constexpr std::size_t kStreamChunkBytes = 256 * 1024;
+
+/** Windows kept warm at once, one RunEngine each (an engine's window
+ *  is fixed); least-recently-used engines beyond it are torn down. */
+constexpr std::size_t kMaxEngines = 4;
 
 /** @return elapsed ms since @p start. */
 double
@@ -142,8 +145,6 @@ SimulationService::SimulationService(ServiceConfig config)
 {
     if (cfg.jobs == 0)
         cfg.jobs = 1;
-    if (cfg.maxEngines == 0)
-        cfg.maxEngines = 1;
 }
 
 RunEngine &
@@ -157,42 +158,27 @@ SimulationService::engineFor(std::uint64_t records)
             return *engines.front().second;
         }
     }
-    engines.emplace_front(
-        records, std::make_unique<RunEngine>(
-                     records, cfg.jobs, cfg.check || check::enabled()));
+    engines.emplace_front(records,
+                          std::make_unique<RunEngine>(records, cfg.jobs));
     ++stats.enginesBuilt;
-    while (engines.size() > cfg.maxEngines) {
+    while (engines.size() > kMaxEngines) {
         engines.pop_back();
         ++stats.enginesEvicted;
     }
     return *engines.front().second;
 }
 
-bool
-SimulationService::cacheLookup(const std::string &key, Json &result)
+std::string
+SimulationService::keyOf(const Request &req) const
 {
-    if (key.empty() || cfg.resultCacheEntries == 0)
-        return false;
-    std::lock_guard<std::mutex> lock(mtx);
-    const auto it = cache.find(key);
-    if (it == cache.end()) {
-        ++stats.cacheMisses;
-        return false;
-    }
-    ++stats.cacheHits;
-    cacheOrder.splice(cacheOrder.begin(), cacheOrder,
-                      it->second.pos);
-    result = it->second.result;
-    return true;
+    return cfg.resultCacheEntries == 0 ? std::string()
+                                       : cacheKey(req, cfg.defaultRecords);
 }
 
 bool
-SimulationService::tryCached(const Request &req,
-                             std::string &result_payload)
+SimulationService::lookup(const std::string &key, Json *result,
+                          std::string *payload)
 {
-    if (cfg.resultCacheEntries == 0)
-        return false;
-    const std::string key = cacheKey(req, cfg.defaultRecords);
     if (key.empty())
         return false;
     std::lock_guard<std::mutex> lock(mtx);
@@ -202,14 +188,24 @@ SimulationService::tryCached(const Request &req,
     ++stats.cacheHits;
     cacheOrder.splice(cacheOrder.begin(), cacheOrder,
                       it->second.pos);
-    result_payload = it->second.hitPayload;
+    if (result != nullptr)
+        *result = it->second.result;
+    if (payload != nullptr)
+        *payload = it->second.hitPayload;
     return true;
+}
+
+bool
+SimulationService::tryCached(const Request &req,
+                             std::string &result_payload)
+{
+    return lookup(keyOf(req), nullptr, &result_payload);
 }
 
 void
 SimulationService::cacheStore(const std::string &key, const Json &result)
 {
-    if (key.empty() || cfg.resultCacheEntries == 0)
+    if (key.empty())
         return;
     // The hit payload is frozen here: serve-side hint counters inside
     // its server block (alone_runs, arena_materializations) reflect
@@ -218,6 +214,7 @@ SimulationService::cacheStore(const std::string &key, const Json &result)
     attachServerInfo(hit, true, 1, 0.0);
     std::string payload = hit.str(0);
     std::lock_guard<std::mutex> lock(mtx);
+    ++stats.cacheMisses;
     if (cache.find(key) == cache.end()) {
         cacheOrder.push_front(key);
         cache.emplace(key, CacheEntry{result, std::move(payload),
@@ -230,19 +227,12 @@ SimulationService::cacheStore(const std::string &key, const Json &result)
 }
 
 Json
-SimulationService::runMixResult(RunEngine &engine, const Request &req)
+SimulationService::estimate(const Request &req, const std::string &key,
+                            bool build_profiles, std::size_t batch_size)
 {
-    const HierarchyConfig hier = requestHierarchy(req);
-    const MixResult res = engine.runMix(req.mix, req.policy, hier);
-    return mixResultJson(res, engine.recordsPerCore(), hier);
-}
-
-Json
-SimulationService::estimateResult(const Request &req,
-                                  bool build_profiles)
-{
+    const Clock::time_point start = Clock::now();
     const std::uint64_t records =
-        req.records != 0 ? req.records : cfg.defaultRecords;
+        requestRecords(req, cfg.defaultRecords);
     std::vector<model::ProfilePtr> profiles;
     profiles.reserve(req.mix.workloads.size());
     auto &store = model::ProfileStore::instance();
@@ -255,10 +245,12 @@ SimulationService::estimateResult(const Request &req,
         profiles.push_back(std::move(p));
     }
     const HierarchyConfig hier = requestHierarchy(req);
-    const model::MixEstimate est =
-        model::estimateMix(profiles, hier, req.policy);
-    return estimateResultJson(est, req.mix, req.policy, records,
-                              hier);
+    Json result = estimateResultJson(
+        model::estimateMix(profiles, hier, req.policy), req.mix,
+        req.policy, records, hier);
+    cacheStore(key, result);
+    attachServerInfo(result, false, batch_size, msSince(start));
+    return result;
 }
 
 bool
@@ -267,10 +259,10 @@ SimulationService::tryEstimate(const Request &req,
 {
     if (req.op != Op::RunMix || req.mode != Mode::Estimate)
         return false;
-    if (tryCached(req, result_payload))
+    const std::string key = keyOf(req);
+    if (lookup(key, nullptr, &result_payload))
         return true;
-    const Clock::time_point start = Clock::now();
-    Json result = estimateResult(req, /*build_profiles=*/false);
+    const Json result = estimate(req, key, /*build_profiles=*/false, 1);
     if (result.isNull())
         return false;
     {
@@ -279,8 +271,6 @@ SimulationService::tryEstimate(const Request &req,
         ++stats.estimates;
         ++stats.estimatesInline;
     }
-    cacheStore(cacheKey(req, cfg.defaultRecords), result);
-    attachServerInfo(result, false, 1, msSince(start));
     result_payload = result.str(0);
     return true;
 }
@@ -318,11 +308,9 @@ SimulationService::runTraceResult(const Request &req, std::string &err)
             path, std::move(parsed.records)));
     }
 
-    const std::uint64_t records =
-        req.records != 0 ? req.records : shortest;
+    const std::uint64_t records = requestRecords(req, shortest);
     const HierarchyConfig hier = requestHierarchy(req);
-    System sys(hier, makePolicy(req.policy), std::move(traces), records,
-               cfg.check || check::enabled());
+    System sys(hier, makePolicy(req.policy), std::move(traces), records);
     const SystemResult res = sys.run();
 
     Json out = Json::object();
@@ -363,44 +351,15 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
             std::max(stats.maxBatch, std::uint64_t{batch.size()});
     }
 
-    // Indices that can share one engine dispatch; everything else
-    // (run_trace, telemetry attachment) runs exclusively below.
-    std::vector<std::size_t> pooled;
+    // The dispatcher's grouping (sameBatch) makes a batch either one
+    // tier's telemetry-free run_mix requests of one window, or one
+    // exclusive request (run_trace, telemetry attachment).  Cache hits
+    // and estimates answer here; exact misses fan out as jobs on the
+    // window's engine and emit from their worker callbacks.
+    RunEngine *engine = nullptr;
+    std::vector<std::pair<std::size_t, std::string>> misses;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         const Request &req = batch[i];
-        if (req.op == Op::RunMix && req.telemetry == 0 &&
-            req.mode == Mode::Estimate) {
-            // Estimate tier: answer from the result cache, else
-            // evaluate the analytical model (building any cold
-            // workload profiles — Systems, hence the shared gate).
-            const Clock::time_point start = Clock::now();
-            {
-                std::lock_guard<std::mutex> lock(mtx);
-                ++stats.runMix;
-                ++stats.estimates;
-            }
-            Json result;
-            if (cacheLookup(cacheKey(req, cfg.defaultRecords),
-                            result)) {
-                attachServerInfo(result, true, batch.size(), 0.0);
-                emit(i, okResponse(req, std::move(result)));
-                continue;
-            }
-            {
-                std::shared_lock<std::shared_mutex> gate(
-                    gTelemetryGate);
-                result = estimateResult(req, /*build_profiles=*/true);
-            }
-            cacheStore(cacheKey(req, cfg.defaultRecords), result);
-            attachServerInfo(result, false, batch.size(),
-                             msSince(start));
-            emit(i, okResponse(req, std::move(result)));
-            continue;
-        }
-        if (req.op == Op::RunMix && req.telemetry == 0) {
-            pooled.push_back(i);
-            continue;
-        }
         const Clock::time_point start = Clock::now();
         if (req.op == Op::RunTrace) {
             {
@@ -422,81 +381,81 @@ SimulationService::executeBatch(const std::vector<Request> &batch,
             emit(i, okResponse(req, std::move(result)));
             continue;
         }
-        // run_mix with telemetry attachment: exclusive execution (the
-        // sampling interval and the TelemetryHub are process-wide, so
-        // nothing else may build Systems while it runs — guaranteed
-        // by the exclusive telemetry gate across every service plus
-        // the serial dispatcher leaving this engine idle here).
+        const bool exact = req.mode == Mode::Exact;
         {
             std::lock_guard<std::mutex> lock(mtx);
             ++stats.runMix;
-            ++stats.telemetryRuns;
+            stats.estimates += !exact;
+            stats.telemetryRuns += req.telemetry != 0;
         }
-        const std::uint64_t records =
-            req.records != 0 ? req.records : cfg.defaultRecords;
-        RunEngine &engine = engineFor(records);
-        Json result, telemetry;
-        {
-            std::unique_lock<std::shared_mutex> gate(gTelemetryGate);
-            obs::TelemetryHub::instance().clear();
-            obs::setTelemetryInterval(req.telemetry);
-            result = runMixResult(engine, req);
-            obs::setTelemetryInterval(0);
-            telemetry = obs::TelemetryHub::instance().drainJson();
-        }
-        if (req.stream && frame) {
+        if (req.telemetry != 0) {
+            // Exclusive execution: the sampling interval and the
+            // TelemetryHub are process-wide, so nothing else may build
+            // Systems while it runs — guaranteed by the exclusive
+            // telemetry gate across every service plus the serial
+            // dispatcher leaving this engine idle here.
+            RunEngine &eng =
+                engineFor(requestRecords(req, cfg.defaultRecords));
+            const HierarchyConfig hier = requestHierarchy(req);
+            Json result, telemetry;
+            {
+                std::unique_lock<std::shared_mutex> gate(gTelemetryGate);
+                obs::TelemetryHub::instance().clear();
+                obs::setTelemetryInterval(req.telemetry);
+                result = mixResultJson(eng.runMix(req.mix, req.policy, hier),
+                                       eng.recordsPerCore(), hier);
+                obs::setTelemetryInterval(0);
+                telemetry = obs::TelemetryHub::instance().drainJson();
+            }
+            if (req.stream && frame) {
+                attachServerInfo(result, false, 1, msSince(start));
+                emitStream(i, req, std::move(result),
+                           std::move(telemetry), emit, frame);
+                continue;
+            }
+            result["telemetry"] = std::move(telemetry);
             attachServerInfo(result, false, 1, msSince(start));
-            emitStream(i, batch[i], std::move(result),
-                       std::move(telemetry), emit, frame);
+            emit(i, okResponse(req, std::move(result)));
             continue;
         }
-        result["telemetry"] = std::move(telemetry);
-        attachServerInfo(result, false, 1, msSince(start));
+        if (exact && engine == nullptr)
+            engine = &engineFor(requestRecords(req, cfg.defaultRecords));
+        std::string key = keyOf(req);
+        Json result;
+        if (lookup(key, &result, nullptr)) {
+            attachServerInfo(result, true, batch.size(), 0.0);
+        } else if (!exact) {
+            // Cold workload profiles are built here: Systems, hence
+            // the shared gate.
+            std::shared_lock<std::shared_mutex> gate(gTelemetryGate);
+            result = estimate(req, key, /*build_profiles=*/true,
+                              batch.size());
+        } else {
+            misses.emplace_back(i, std::move(key));
+            continue;
+        }
         emit(i, okResponse(req, std::move(result)));
     }
-
-    if (pooled.empty())
+    if (misses.empty())
         return;
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        stats.runMix += pooled.size();
-    }
 
-    // Cache hits answer immediately; misses fan out as engine jobs
-    // (all pooled requests share a batchKey, hence one measurement
-    // window and one engine) and emit from their worker callbacks.
     std::shared_lock<std::shared_mutex> gate(gTelemetryGate);
-    const std::uint64_t records = batch[pooled.front()].records != 0
-                                      ? batch[pooled.front()].records
-                                      : cfg.defaultRecords;
-    RunEngine &engine = engineFor(records);
-    std::vector<std::size_t> misses;
-    for (const std::size_t i : pooled) {
-        const Request &req = batch[i];
-        Json result;
-        if (cacheLookup(cacheKey(req, cfg.defaultRecords), result)) {
-            attachServerInfo(result, true, pooled.size(), 0.0);
-            emit(i, okResponse(req, std::move(result)));
-        } else {
-            misses.push_back(i);
-        }
-    }
     const Clock::time_point start = Clock::now();
-    for (const std::size_t i : misses) {
+    for (auto &[i, key] : misses) {
         const Request &req = batch[i];
         const HierarchyConfig hier = requestHierarchy(req);
-        engine.submitMix(
+        engine->submitMix(
             req.mix, req.policy, hier,
-            [this, &req, &emit, &engine, hier, i, start,
-             n = pooled.size()](MixResult res) {
+            [this, &req, &emit, engine, hier, i = i, key = std::move(key),
+             start, n = batch.size()](MixResult res) {
                 Json result = mixResultJson(
-                    res, engine.recordsPerCore(), hier);
-                cacheStore(cacheKey(req, cfg.defaultRecords), result);
+                    res, engine->recordsPerCore(), hier);
+                cacheStore(key, result);
                 attachServerInfo(result, false, n, msSince(start));
                 emit(i, okResponse(req, std::move(result)));
             });
     }
-    engine.waitIdle();
+    engine->waitIdle();
 }
 
 void

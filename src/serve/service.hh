@@ -49,15 +49,6 @@ struct ServiceConfig
     std::uint64_t defaultRecords = 250'000;
     /** Result-cache capacity in responses (0 disables). */
     std::size_t resultCacheEntries = 256;
-    /**
-     * Distinct measurement windows kept warm at once.  Each window
-     * gets its own RunEngine (the engine's run-alone cache is keyed
-     * per engine); least-recently-used engines beyond the cap are
-     * torn down between batches.
-     */
-    std::size_t maxEngines = 4;
-    /** Run every served simulation under the invariant checker. */
-    bool check = false;
 };
 
 /** Executes admitted request batches; see file comment. */
@@ -82,9 +73,10 @@ class SimulationService
 
     /**
      * Execute one admitted batch.  Every element must be a run_mix /
-     * run_trace request, and all elements must share a batchKey()
-     * (the dispatcher's grouping invariant); telemetry-attaching
-     * requests arrive as singleton batches and run exclusively.
+     * run_trace request, and all elements must be sameBatch() with
+     * each other (the dispatcher's grouping invariant); requests
+     * attaching telemetry arrive as singleton batches and run
+     * exclusively.
      * Streaming requests deliver their payload through @p frame and
      * close with a final frame through @p emit (when @p frame is
      * null they fall back to one monolithic response).  Blocks until
@@ -98,9 +90,9 @@ class SimulationService
      * is a cacheable run_mix whose result is already in the result
      * cache, copies the pre-serialized hit payload (the result JSON
      * with its server block marked cached, frozen at store time) into
-     * @p result_payload and returns true.  A miss is free — it is not
-     * counted (the dispatcher's authoritative lookup will count it)
-     * and touches no engine, so warm traffic can be answered inline
+     * @p result_payload and returns true.  A miss is free — it is
+     * counted by whichever path then computes the answer — and
+     * touches no engine, so warm traffic can be answered inline
      * without the queue → dispatcher → wake round trip, and without
      * re-serializing the result per hit.
      */
@@ -129,19 +121,18 @@ class SimulationService
     /** @return the warm engine for @p records, creating/evicting. */
     RunEngine &engineFor(std::uint64_t records);
 
-    /** Execute one run_mix request synchronously on @p engine. */
-    Json runMixResult(RunEngine &engine, const Request &req);
-
     /** Execute one run_trace request on the calling thread. */
     Json runTraceResult(const Request &req, std::string &err);
 
     /**
-     * Evaluate one estimate-mode run_mix.  @p build_profiles selects
-     * the blocking path (dispatcher: cold profiles are collected,
-     * one pass per workload) or the non-blocking one (event loop:
-     * returns an empty Json when any profile is cold).
+     * The one estimate path of tryEstimate and executeBatch: evaluate
+     * an estimate-mode run_mix that missed the cache, store it under
+     * @p key and attach its server block.  @p build_profiles collects
+     * cold profiles (dispatcher); else a cold profile returns an
+     * empty Json (event loop).
      */
-    Json estimateResult(const Request &req, bool build_profiles);
+    Json estimate(const Request &req, const std::string &key,
+                  bool build_profiles, std::size_t batch_size);
 
     /** Append the "server" block (cache/batch/reuse hints). */
     void attachServerInfo(Json &result, bool cached,
@@ -155,10 +146,19 @@ class SimulationService
                     Json telemetry, const Emit &emit,
                     const EmitFrame &frame);
 
-    /** Look up @p key in the result cache (empty key misses). */
-    bool cacheLookup(const std::string &key, Json &result);
+    /** @return @p req's cache key; empty if uncacheable or cache off. */
+    std::string keyOf(const Request &req) const;
 
-    /** Insert @p result under @p key (LRU eviction at capacity). */
+    /**
+     * The one result-cache lookup (an empty key misses).  A hit copies
+     * the result into @p result and the hit payload into @p payload
+     * (each if non-null) and counts; a miss is counted by cacheStore().
+     */
+    bool lookup(const std::string &key, Json *result,
+                std::string *payload);
+
+    /** Store @p result, computed after a miss, under @p key (if not
+     *  empty) and count that miss; LRU eviction at capacity. */
     void cacheStore(const std::string &key, const Json &result);
 
     ServiceConfig cfg;

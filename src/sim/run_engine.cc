@@ -1,7 +1,6 @@
 #include "sim/run_engine.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.hh"
@@ -25,31 +24,28 @@ double
 RunEngine::aloneIpc(const std::string &workload,
                     const HierarchyConfig &hier)
 {
-    // The run-alone config inherits everything but the core count, so
-    // the key must cover every field that changes the alone run — one
-    // engine may span hierarchy variants (L2, inclusion, prefetch).
-    std::ostringstream key;
-    key << workload << "/" << hier.llc.sizeBytes << "/" << hier.llc.ways
-        << "/" << records << "/" << hier.enableL2 << hier.inclusive
-        << hier.prefetch.enabled << "/" << hier.l2.sizeBytes;
-    // Index scrambling changes the alone run's hit rates, so defended
-    // and plain hierarchies must not share a baseline.
-    if (!hier.llc.defense.empty())
-        key << "/" << hier.llc.defense;
+    // Run-alone baseline: the whole LLC, LRU management, one core.
+    // The key names every field of that config, so hierarchy variants
+    // sharing one engine (L2, inclusion, prefetch, defense) never
+    // share a baseline.
+    HierarchyConfig alone = hier;
+    alone.numCores = 1;
+    const std::string key = workload + "|" + std::to_string(records) +
+        "|" + hierarchyKey(alone);
 
     std::promise<double> promise;
     std::shared_future<double> future;
     bool owner = false;
     {
         std::lock_guard<std::mutex> lock(aloneMtx);
-        const auto it = aloneCache.find(key.str());
+        const auto it = aloneCache.find(key);
         if (it != aloneCache.end()) {
             future = it->second;
         } else {
             // First requester becomes the owner; everyone else who
             // races in blocks on the shared future below.
             future = promise.get_future().share();
-            aloneCache.emplace(key.str(), future);
+            aloneCache.emplace(key, future);
             owner = true;
         }
     }
@@ -60,9 +56,6 @@ RunEngine::aloneIpc(const std::string &workload,
                                               : std::string(),
                         "engine");
 
-    // Run-alone baseline: the whole LLC, LRU management, one core.
-    HierarchyConfig alone = hier;
-    alone.numCores = 1;
     std::vector<TraceSourcePtr> traces;
     traces.push_back(TraceArena::instance().open(workload));
     System sys(alone, makePolicy("lru"), std::move(traces), records,

@@ -95,9 +95,9 @@ class RunEngine
 
     /**
      * @return IPC of @p workload running alone under LRU on the LLC of
-     * @p hier.  Memoized; each distinct (workload, LLC geometry,
-     * window) baseline is simulated exactly once, even when requested
-     * from many threads at once.
+     * @p hier.  Memoized on (workload, window, hierarchyKey() of the
+     * one-core config); each distinct baseline is simulated exactly
+     * once, even when requested from many threads at once.
      */
     double aloneIpc(const std::string &workload,
                     const HierarchyConfig &hier);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the multi-level memory hierarchy: latency composition,
- * L1 filtering, and write-back routing.
+ * L1 filtering, write-back routing, and the hierarchy key.
  */
 
 #include <gtest/gtest.h>
@@ -87,6 +87,62 @@ TEST(Hierarchy, ExposesConfig)
 {
     MemoryHierarchy mh(smallConfig(), std::make_unique<LruPolicy>());
     EXPECT_EQ(mh.config().llc.sizeBytes, 8192u);
+}
+
+TEST(Hierarchy, KeyNamesEveryRunChangingField)
+{
+    // One row per HierarchyConfig field that can change a run: each
+    // edit must change the key.  The cache names only label stats.
+    struct Row
+    {
+        const char *field;
+        void (*edit)(HierarchyConfig &);
+    };
+    const Row rows[] = {
+        {"numCores", [](HierarchyConfig &c) { c.numCores = 2; }},
+        {"l1.sizeBytes", [](HierarchyConfig &c) { c.l1.sizeBytes *= 2; }},
+        {"l1.ways", [](HierarchyConfig &c) { c.l1.ways = 4; }},
+        {"l1.blockSize", [](HierarchyConfig &c) { c.l1.blockSize = 32; }},
+        {"l1.defense", [](HierarchyConfig &c) { c.l1.defense = "rand"; }},
+        {"enableL2", [](HierarchyConfig &c) { c.enableL2 = true; }},
+        {"l2.sizeBytes", [](HierarchyConfig &c) { c.l2.sizeBytes *= 2; }},
+        {"l2.ways", [](HierarchyConfig &c) { c.l2.ways = 4; }},
+        {"l2.blockSize", [](HierarchyConfig &c) { c.l2.blockSize = 32; }},
+        {"l2.defense", [](HierarchyConfig &c) { c.l2.defense = "rand"; }},
+        {"llc.sizeBytes",
+         [](HierarchyConfig &c) { c.llc.sizeBytes *= 2; }},
+        {"llc.ways", [](HierarchyConfig &c) { c.llc.ways = 8; }},
+        {"llc.blockSize",
+         [](HierarchyConfig &c) { c.llc.blockSize = 32; }},
+        {"llc.defense",
+         [](HierarchyConfig &c) { c.llc.defense = "rand"; }},
+        {"l1Latency", [](HierarchyConfig &c) { c.l1Latency = 4; }},
+        {"l2Latency", [](HierarchyConfig &c) { c.l2Latency = 11; }},
+        {"llcLatency", [](HierarchyConfig &c) { c.llcLatency = 21; }},
+        {"dram.latency", [](HierarchyConfig &c) { c.dram.latency = 201; }},
+        {"dram.occupancy",
+         [](HierarchyConfig &c) { c.dram.occupancy = 1; }},
+        {"dram.channels", [](HierarchyConfig &c) { c.dram.channels = 2; }},
+        {"prefetch.enabled",
+         [](HierarchyConfig &c) { c.prefetch.enabled = true; }},
+        {"prefetch.tableEntries",
+         [](HierarchyConfig &c) { c.prefetch.tableEntries = 64; }},
+        {"prefetch.degree",
+         [](HierarchyConfig &c) { c.prefetch.degree = 4; }},
+        {"inclusive", [](HierarchyConfig &c) { c.inclusive = true; }},
+    };
+    const HierarchyConfig base = smallConfig();
+    const std::string key = hierarchyKey(base);
+    for (const Row &row : rows) {
+        HierarchyConfig edited = base;
+        row.edit(edited);
+        EXPECT_NE(hierarchyKey(edited), key) << row.field;
+    }
+
+    HierarchyConfig renamed = base;
+    renamed.l1.name = "first";
+    renamed.llc.name = "shared";
+    EXPECT_EQ(hierarchyKey(renamed), key);
 }
 
 TEST(HierarchyDeathTest, RejectsZeroCores)

@@ -135,15 +135,24 @@ TEST(RunEngine, GridDedupesAloneRunsAcrossCells)
 
 TEST(RunEngine, AloneCacheKeysOnHierarchyVariant)
 {
-    // Prefetching / private L2s change the run-alone machine, so they
-    // must not share a cache entry with the plain hierarchy.
+    // Prefetching, private L1 geometry and DRAM timing change the
+    // run-alone machine, so they must not share a cache entry with
+    // the plain hierarchy.  The co-runner count does not: the
+    // baseline runs on one core.
     RunEngine engine(2000, 2);
     auto base = defaultHierarchy(2);
     auto with_pf = base;
     with_pf.prefetch.enabled = true;
-    engine.aloneIpc("tiny_hot", base);
-    engine.aloneIpc("tiny_hot", with_pf);
-    EXPECT_EQ(engine.aloneRunCount(), 2u);
+    auto small_l1 = base;
+    small_l1.l1.sizeBytes /= 2;
+    auto slow_dram = base;
+    slow_dram.dram.latency += 100;
+    auto more_cores = base;
+    more_cores.numCores = 4;
+    for (const HierarchyConfig &hier :
+         {base, with_pf, small_l1, slow_dram, more_cores})
+        engine.aloneIpc("tiny_hot", hier);
+    EXPECT_EQ(engine.aloneRunCount(), 4u);
 }
 
 TEST(RunEngine, ParallelForReportsProgress)

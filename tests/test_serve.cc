@@ -639,6 +639,51 @@ TEST_F(ServeTest, EstimateModeAnswersFromTheModel)
     EXPECT_EQ(svc.at("estimates_inline").asUint(), 1u);
 }
 
+TEST_F(ServeTest, InlineEstimatesCountEveryCacheMiss)
+{
+    // Build mix2_01's profiles with an uncacheable estimate (cold, so
+    // it runs on the dispatcher): every cacheable estimate below is
+    // then answered on the event loop.
+    model::ProfileStore::instance().clear();
+    startServer(baseConfig());
+    TestClient client(server->port());
+    ASSERT_TRUE(client
+                    .call(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+                          R"("mode":"estimate","no_cache":true}})")
+                    .at("ok")
+                    .asBool());
+
+    // N distinct keys, then R repeats: N misses and R hits, whichever
+    // path answered them.
+    const std::vector<std::string> sizes = {"256", "512", "1024", "2048"};
+    const auto estimate = [&](const std::string &kib) {
+        return client.call(
+            R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+            R"("mode":"estimate","llc_kib":)" +
+            kib + "}}");
+    };
+    for (const std::string &kib : sizes) {
+        const Json doc = estimate(kib);
+        ASSERT_TRUE(doc.at("ok").asBool()) << doc.str(0);
+        EXPECT_FALSE(doc.at("result").at("server").at("cached").asBool());
+    }
+    for (const char *kib : {"512", "2048"}) {
+        const Json doc = estimate(kib);
+        ASSERT_TRUE(doc.at("ok").asBool()) << doc.str(0);
+        EXPECT_TRUE(doc.at("result").at("server").at("cached").asBool());
+    }
+
+    const Json stats = client.call(R"({"op":"stats"})");
+    const Json &svc = stats.at("result").at("service");
+    EXPECT_EQ(svc.at("estimates_inline").asUint(), sizes.size());
+    EXPECT_EQ(svc.at("cache_misses").asUint(), sizes.size());
+    EXPECT_EQ(svc.at("cache_hits").asUint(), 2u);
+    const Json metrics = client.call(R"({"op":"metrics"})");
+    EXPECT_DOUBLE_EQ(
+        metrics.at("result").at("cache").at("result_hit_ratio").asDouble(),
+        2.0 / 6.0);
+}
+
 TEST_F(ServeTest, EstimateAndExactResultsAreCachedSeparately)
 {
     startServer(baseConfig());

@@ -15,6 +15,10 @@
  *            [--check] [--port-file=FILE] [--trace-out=FILE]
  *            [--quiet]
  *
+ * --check switches on the process-wide check mode, as the benches'
+ * --check does: every served simulation (run_mix cells, run-alone
+ * baselines, run_trace) runs under the runtime invariant checker.
+ *
  * --max-outbound-kib caps each connection's outbound buffer: a
  * client that stops reading past the cap is shed (slow_clients in
  * stats) instead of blocking the event loop.
@@ -88,7 +92,8 @@ main(int argc, char **argv)
         args.getInt("records", cfg.service.defaultRecords);
     cfg.service.resultCacheEntries =
         args.getInt("cache", cfg.service.resultCacheEntries);
-    cfg.service.check = args.has("check") || check::enabled();
+    if (args.has("check"))
+        check::setEnabled(true);
     if (cfg.service.defaultRecords < serve::kMinRecords ||
         cfg.service.defaultRecords > serve::kMaxRecords)
         fatal("--records must be in [", serve::kMinRecords, ", ",
