@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -15,6 +14,7 @@
 #include "sim/policies.hh"
 #include "trace/arena.hh"
 #include "trace/workloads.hh"
+#include "test_digest.hh"
 
 namespace nucache
 {
@@ -130,21 +130,6 @@ TEST(Integration, DeterministicMixResults)
     EXPECT_DOUBLE_EQ(a.weightedSpeedup, b.weightedSpeedup);
     for (std::size_t i = 0; i < a.system.cores.size(); ++i)
         EXPECT_DOUBLE_EQ(a.system.cores[i].ipc, b.system.cores[i].ipc);
-}
-
-/** @return FNV-1a 64 of @p text as 16 lowercase hex digits. */
-std::string
-fnv1aHex(const std::string &text)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const unsigned char ch : text) {
-        h ^= ch;
-        h *= 0x100000001b3ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 /** One full-stats run of the serial engine. */

@@ -2,8 +2,8 @@
  * @file
  * Tests for the observability layer (src/obs/): sampler determinism
  * across pool widths, Chrome trace_event schema conformance of the
- * tracer output, zero cost/output in disabled mode, and a golden
- * telemetry run of NUcache on a fixed workload.
+ * tracer output, zero cost/output in disabled mode, and golden
+ * telemetry runs of the policies that publish probes.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "sim/run_engine.hh"
 #include "sim/system.hh"
 #include "trace/arena.hh"
+#include "test_digest.hh"
 
 namespace nucache
 {
@@ -139,60 +140,121 @@ TEST(Telemetry, GridPublishesEverySystemRun)
     EXPECT_TRUE(sawNUcacheProbes);
 }
 
-TEST(Telemetry, GoldenNUcacheRun)
+/**
+ * @return the columns every run publishes, in registration order:
+ * per-core LLC demand, then LLC totals and set heat.
+ */
+std::vector<std::string>
+baseColumns(unsigned cores)
 {
-    // Fixed workload, fixed window, fixed interval: the series is a
-    // pure function of these inputs, so two runs dump identically and
-    // the probe values obey the policy's own accounting.
-    const auto run = [] {
-        TelemetryScope telemetry(200);
-        std::vector<TraceSourcePtr> traces;
-        traces.push_back(TraceArena::instance().open("small_ws"));
-        System sys(defaultHierarchy(1), makePolicy("nucache"),
-                   std::move(traces), 4000, false);
-        sys.setTelemetryLabel("golden/nucache");
-        sys.run();
-        return obs::TelemetryHub::instance().drainJson();
-    };
-    const Json doc = run();
-    EXPECT_EQ(doc.str(), run().str());
-
-    ASSERT_EQ(doc.at("series").size(), 1u);
-    const Json &s = doc.at("series").at(std::size_t{0});
-    EXPECT_EQ(s.at("label").asString(), "golden/nucache");
-    EXPECT_EQ(s.at("interval").asUint(), 200u);
-    const std::uint64_t rows = s.at("rows").asUint();
-    ASSERT_GE(rows, 2u);
-
-    const Json &probes = s.at("probes");
+    std::vector<std::string> cols;
+    for (unsigned c = 0; c < cores; ++c) {
+        const std::string prefix = "core" + std::to_string(c) + ".llc.";
+        for (const char *stat :
+             {"accesses", "misses", "miss_rate", "evictions"})
+            cols.push_back(prefix + stat);
+    }
     for (const char *name :
-         {"llc.accesses", "llc.misses", "llc.miss_rate",
-          "llc.evictions", "llc.writebacks", "llc.heat.max",
-          "llc.heat.mean", "llc.heat.cold_sets",
-          "nucache.selected_pcs", "nucache.deli_hits",
-          "nucache.lease_refreshes", "nucache.epochs",
-          "nucache.selection_churn", "nucache.deli_occupancy"}) {
-        ASSERT_NE(probes.find(name), nullptr) << name;
-    }
+         {"llc.accesses", "llc.misses", "llc.miss_rate", "llc.evictions",
+          "llc.writebacks", "llc.heat.max", "llc.heat.mean",
+          "llc.heat.cold_sets"})
+        cols.push_back(name);
+    return cols;
+}
 
-    // Monotone counters stay monotone along the series, and the row
-    // keys strictly increase.
-    const Json &acc = probes.at("llc.accesses");
-    const Json &at = s.at("llc_accesses");
-    for (std::uint64_t r = 1; r < rows; ++r) {
-        EXPECT_LT(at.at(r - 1).asUint(), at.at(r).asUint());
-        EXPECT_LE(acc.at(r - 1).asDouble(), acc.at(r).asDouble());
-    }
-    // The sampled access counter and the row key agree: both read the
-    // LLC's access clock.
-    EXPECT_EQ(static_cast<std::uint64_t>(
-                  acc.at(rows - 1).asDouble()),
-              at.at(rows - 1).asUint());
-    // Occupancy is a fraction.
-    const Json &occ = probes.at("nucache.deli_occupancy");
-    for (std::uint64_t r = 0; r < rows; ++r) {
-        EXPECT_GE(occ.at(r).asDouble(), 0.0);
-        EXPECT_LE(occ.at(r).asDouble(), 1.0);
+/**
+ * Pinned telemetry of one fixed run per policy family: the columns a
+ * policy publishes after the common ones, and the digest of the
+ * drained nucache-telemetry/v1 document (every row of every probe
+ * plus the final stats tree).
+ */
+struct TelemetryRow
+{
+    const char *policy;
+    std::vector<std::string> workloads;
+    std::vector<std::string> policyColumns;
+    const char *digest;
+};
+
+TEST(Telemetry, GoldenPolicyRuns)
+{
+    const TelemetryRow rows[] = {
+        // A short epoch, so the window runs several selections.
+        {"nucache:epoch=500",
+         {"small_ws"},
+         {"nucache.selected_pcs", "nucache.deli_hits",
+          "nucache.lease_refreshes", "nucache.epochs",
+          "nucache.selection_churn", "nucache.deli_occupancy"},
+         "0bd69e58c74ae068"},
+        {"dip", {"small_ws"}, {"dip.psel"}, "1dfd053832b3fece"},
+        {"tadip",
+         {"small_ws", "zipf_hot"},
+         {"tadip.psel.core0", "tadip.psel.core1"},
+         "92c7fa4e105f03a6"},
+        // LRU owns no state worth sampling: no policy columns.
+        {"lru", {"small_ws"}, {}, "aa5d8c5f639d8bfc"},
+    };
+    for (const TelemetryRow &row : rows) {
+        SCOPED_TRACE(row.policy);
+        // Fixed workload, fixed window, fixed interval: the series is
+        // a pure function of these inputs, so two runs dump
+        // identically.
+        const auto run = [&row] {
+            TelemetryScope telemetry(200);
+            const auto cores =
+                static_cast<unsigned>(row.workloads.size());
+            HierarchyConfig hier = defaultHierarchy(cores);
+            // A small LLC, so the window fills it and every policy
+            // evicts, retains and adapts.
+            hier.llc.sizeBytes = cores * (32 << 10);
+            std::vector<TraceSourcePtr> traces;
+            for (const std::string &w : row.workloads)
+                traces.push_back(TraceArena::instance().open(w));
+            System sys(hier, makePolicy(row.policy), std::move(traces),
+                       4000, false);
+            sys.setTelemetryLabel(std::string("golden/") + row.policy);
+            sys.run();
+            return obs::TelemetryHub::instance().drainJson();
+        };
+        const Json doc = run();
+        const std::string text = doc.str();
+        EXPECT_EQ(text, run().str());
+        EXPECT_EQ(fnv1aHex(text), row.digest);
+
+        ASSERT_EQ(doc.at("series").size(), 1u);
+        const Json &s = doc.at("series").at(std::size_t{0});
+        EXPECT_EQ(s.at("interval").asUint(), 200u);
+        const std::uint64_t nrows = s.at("rows").asUint();
+        ASSERT_GE(nrows, 2u);
+
+        std::vector<std::string> expected =
+            baseColumns(static_cast<unsigned>(row.workloads.size()));
+        expected.insert(expected.end(), row.policyColumns.begin(),
+                        row.policyColumns.end());
+        std::vector<std::string> columns;
+        for (const auto &member : s.at("probes").members())
+            columns.push_back(member.first);
+        EXPECT_EQ(columns, expected);
+
+        // Monotone counters stay monotone along the series, the row
+        // keys strictly increase, and the sampled access counter
+        // agrees with the row key: both read the LLC's access clock.
+        const Json &probes = s.at("probes");
+        const Json &acc = probes.at("llc.accesses");
+        const Json &at = s.at("llc_accesses");
+        for (std::uint64_t r = 1; r < nrows; ++r) {
+            EXPECT_LT(at.at(r - 1).asUint(), at.at(r).asUint());
+            EXPECT_LE(acc.at(r - 1).asDouble(), acc.at(r).asDouble());
+        }
+        EXPECT_EQ(static_cast<std::uint64_t>(
+                      acc.at(nrows - 1).asDouble()),
+                  at.at(nrows - 1).asUint());
+        if (const Json *occ = probes.find("nucache.deli_occupancy")) {
+            for (std::uint64_t r = 0; r < nrows; ++r) {
+                EXPECT_GE(occ->at(r).asDouble(), 0.0);
+                EXPECT_LE(occ->at(r).asDouble(), 1.0);
+            }
+        }
     }
 }
 
