@@ -116,9 +116,6 @@ class NUcachePolicy : public ReplacementPolicy
     /** @return hits served from DeliWays-resident lines. */
     std::uint64_t deliHits() const { return deliHitCount; }
 
-    /** @return in-place DeliWays FIFO lease refreshes performed. */
-    std::uint64_t leaseRefreshes() const { return leaseRefreshCount; }
-
     /** @return selection epochs completed. */
     std::uint64_t epochsRun() const { return epochCount; }
 
@@ -152,6 +149,9 @@ class NUcachePolicy : public ReplacementPolicy
      */
     bool checkInvariants(const SetView &set,
                          std::string &why) const override;
+
+    /** Registers the six nucache.* telemetry columns. */
+    void addProbes(obs::Sampler &sampler, const Cache &llc) const override;
 
     /** Verify the Main/Deli occupancy invariants of @p set (tests). */
     bool checkSetInvariants(const SetView &set) const;

@@ -19,15 +19,20 @@
 #ifndef NUCACHE_MEM_REPLACEMENT_HH
 #define NUCACHE_MEM_REPLACEMENT_HH
 
-#include <bit>
 #include <cstdint>
 #include <string>
 
-#include "common/bitutil.hh"
 #include "mem/cache_line.hh"
 
 namespace nucache
 {
+
+class Cache;
+
+namespace obs
+{
+class Sampler;
+} // namespace obs
 
 /** Geometry and environment handed to a policy once, before use. */
 struct PolicyContext
@@ -45,7 +50,7 @@ struct PolicyContext
  * structure-of-arrays tag store (per-set tag array and valid/dirty
  * bitmask words), so hooks fired after a state change — onFill in
  * particular — observe the updated set.  line() assembles a CacheLine
- * value from the packed columns; tag() and the masks read one column.
+ * value from the packed columns; tag() and validMask() read one column.
  */
 class SetView
 {
@@ -80,18 +85,6 @@ class SetView
 
     /** @return bitmask of ways holding a valid line. */
     std::uint64_t validMask() const { return *validPtr; }
-
-    /** @return bitmask of ways holding a dirty line. */
-    std::uint64_t dirtyMask() const { return *dirtyPtr; }
-
-    /** @return the lowest way holding an invalid line, or ways() if none. */
-    std::uint32_t
-    invalidWay() const
-    {
-        const std::uint64_t inv = ~*validPtr & mask(wayCount);
-        return inv != 0 ? static_cast<std::uint32_t>(std::countr_zero(inv))
-                        : wayCount;
-    }
 
   private:
     const Addr *tagsPtr;
@@ -184,6 +177,13 @@ class ReplacementPolicy
         (void)why;
         return true;
     }
+
+    /**
+     * Register telemetry probes over this policy's own state and the
+     * LLC it manages (both outlive the sampler).  System calls it
+     * once, after the LLC's own columns; the default adds none.
+     */
+    virtual void addProbes(obs::Sampler &, const Cache &) const {}
 
   protected:
     /** Geometry captured by init(). */

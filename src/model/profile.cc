@@ -12,7 +12,6 @@
 #include "core/nucache.hh"
 #include "mem/cache.hh"
 #include "sim/experiment.hh"
-#include "sim/policies.hh"
 #include "sim/system.hh"
 #include "trace/arena.hh"
 
@@ -68,12 +67,16 @@ runPass(const std::string &label, TraceSourcePtr trace,
     profile->passLlcWays = hier.llc.ways;
     profile->blockBytes = hier.llc.blockSize;
 
-    // The pass runs under NUcache so its Next-Use monitor produces
-    // the per-PC histograms; the checker stays off (the observer slot
-    // is ours, and a profiling pass is not a correctness run).
+    // The pass runs under the default NUcache so its Next-Use monitor
+    // produces the per-PC histograms; the checker stays off (the
+    // observer slot is ours, and a profiling pass is not a
+    // correctness run).  The System owns the policy, and so the
+    // monitor read below, for the whole pass.
     std::vector<TraceSourcePtr> traces;
     traces.push_back(std::move(trace));
-    System sys(hier, makePolicy("nucache"), std::move(traces), records,
+    auto policy = std::make_unique<NUcachePolicy>();
+    const NextUseMonitor &mon = policy->monitor();
+    System sys(hier, std::move(policy), std::move(traces), records,
                /*check_invariants=*/false);
 
     // Reuse-distance collection: Fenwick tree over last-touch
@@ -127,31 +130,25 @@ runPass(const std::string &label, TraceSourcePtr trace,
     profile->dramReads = res.dramReads;
     profile->dramQueueCycles = res.dramQueueCycles;
 
-    const auto *policy =
-        dynamic_cast<const NUcachePolicy *>(&llc.policy());
-    if (policy != nullptr) {
-        const NextUseMonitor &mon = policy->monitor();
-        profile->monitorMisses = mon.totalMisses();
-        profile->monitorMatched = mon.matchedSamples();
-        profile->monitorScale = mon.scaleFactor();
-        for (const PcProfile &pc : mon.topDelinquent(kProfilePcs)) {
-            PcNextUse entry;
-            entry.pc = pc.pc;
-            entry.misses = pc.misses;
-            entry.retires = pc.retires;
-            if (pc.nextUse != nullptr)
-                entry.nextUse = *pc.nextUse;
-            profile->pcs.push_back(std::move(entry));
-        }
-        // topDelinquent orders by descending misses; pin the tie
-        // order too so the exported document is fully canonical.
-        std::stable_sort(profile->pcs.begin(), profile->pcs.end(),
-                         [](const PcNextUse &a, const PcNextUse &b) {
-                             return a.misses != b.misses
-                                        ? a.misses > b.misses
-                                        : a.pc < b.pc;
-                         });
+    profile->monitorMisses = mon.totalMisses();
+    profile->monitorMatched = mon.matchedSamples();
+    profile->monitorScale = mon.scaleFactor();
+    for (const PcProfile &pc : mon.topDelinquent(kProfilePcs)) {
+        PcNextUse entry;
+        entry.pc = pc.pc;
+        entry.misses = pc.misses;
+        entry.retires = pc.retires;
+        if (pc.nextUse != nullptr)
+            entry.nextUse = *pc.nextUse;
+        profile->pcs.push_back(std::move(entry));
     }
+    // topDelinquent orders by descending misses; pin the tie order
+    // too so the exported document is fully canonical.
+    std::stable_sort(profile->pcs.begin(), profile->pcs.end(),
+                     [](const PcNextUse &a, const PcNextUse &b) {
+                         return a.misses != b.misses ? a.misses > b.misses
+                                                     : a.pc < b.pc;
+                     });
     profile->buildTables();
     return profile;
 }

@@ -62,9 +62,6 @@ class UtilityMonitor
     /** Halve all counters (epoch aging). */
     void decay();
 
-    /** @return the sampling factor (2^shift). */
-    std::uint32_t sampleFactor() const { return 1u << shift; }
-
   private:
     struct ShadowEntry
     {

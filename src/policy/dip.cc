@@ -1,6 +1,7 @@
 #include "policy/dip.hh"
 
 #include "common/simd.hh"
+#include "obs/telemetry.hh"
 
 namespace nucache
 {
@@ -66,6 +67,14 @@ DipPolicy::onMiss(const SetView &set, const AccessInfo &info)
         psel.down();
 }
 
+void
+DipPolicy::addProbes(obs::Sampler &sampler, const Cache &) const
+{
+    sampler.addProbe("dip.psel", [this] {
+        return static_cast<double>(psel.value());
+    });
+}
+
 bool
 DipPolicy::insertAtMru(const SetView &set, const AccessInfo &info)
 {
@@ -97,6 +106,16 @@ TadipPolicy::onMiss(const SetView &set, const AccessInfo &info)
         psels[info.coreId].up();
     else if (team == 1)
         psels[info.coreId].down();
+}
+
+void
+TadipPolicy::addProbes(obs::Sampler &sampler, const Cache &) const
+{
+    for (std::uint32_t c = 0; c < psels.size(); ++c) {
+        sampler.addProbe("tadip.psel.core" + std::to_string(c), [this, c] {
+            return static_cast<double>(psels[c].value());
+        });
+    }
 }
 
 bool

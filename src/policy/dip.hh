@@ -90,6 +90,9 @@ class DipPolicy : public InsertionLruBase
 
     std::string name() const override { return "dip"; }
 
+    /** Registers dip.psel. */
+    void addProbes(obs::Sampler &sampler, const Cache &llc) const override;
+
     /** @return the PSEL counter value (tests). */
     std::uint32_t pselValue() const { return psel.value(); }
 
@@ -122,6 +125,9 @@ class TadipPolicy : public InsertionLruBase
     void onMiss(const SetView &set, const AccessInfo &info) override;
 
     std::string name() const override { return "tadip"; }
+
+    /** Registers tadip.psel.core<c> for every core. */
+    void addProbes(obs::Sampler &sampler, const Cache &llc) const override;
 
     /** @return core @p c's PSEL value (tests). */
     std::uint32_t pselValue(CoreId c) const { return psels[c].value(); }

@@ -158,9 +158,6 @@ class RunEngine
     /** @return the worker-thread count. */
     unsigned jobs() const { return pool.size(); }
 
-    /** @return whether simulations run under the invariant checker. */
-    bool checkMode() const { return checkFlag; }
-
     /** @return how many run-alone baselines were actually simulated. */
     std::uint64_t aloneRunCount() const
     {

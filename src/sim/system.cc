@@ -5,9 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "core/nucache.hh"
 #include "obs/obs_mode.hh"
-#include "policy/dip.hh"
 
 namespace nucache
 {
@@ -62,35 +60,28 @@ System::setupTelemetry(std::uint64_t interval)
     Cache *llc = &hier->llc();
     llc->enableSetHeat();
 
-    // Per-core demand behaviour at the shared level.  Probes read the
-    // same deterministic counters the end-of-run stats report, so the
-    // series is bit-identical at every --jobs width.
-    for (std::uint32_t c = 0; c < llc->numCores(); ++c) {
-        const std::string prefix = "core" + std::to_string(c) + ".llc.";
-        sampler->addProbe(prefix + "accesses", [llc, c] {
-            return static_cast<double>(llc->coreStats(c).accesses);
+    // Demand behaviour at the shared level, per core and in total.
+    // Probes read the same deterministic counters the end-of-run
+    // stats report, so the series is bit-identical at every --jobs
+    // width.
+    const auto addStats = [this](const std::string &prefix, auto stats) {
+        sampler->addProbe(prefix + "accesses", [stats] {
+            return static_cast<double>(stats().accesses);
         });
-        sampler->addProbe(prefix + "misses", [llc, c] {
-            return static_cast<double>(llc->coreStats(c).misses);
+        sampler->addProbe(prefix + "misses", [stats] {
+            return static_cast<double>(stats().misses);
         });
         sampler->addProbe(prefix + "miss_rate",
-                          [llc, c] { return llc->coreStats(c).missRate(); });
-        sampler->addProbe(prefix + "evictions", [llc, c] {
-            return static_cast<double>(llc->coreStats(c).evictions);
+                          [stats] { return stats().missRate(); });
+        sampler->addProbe(prefix + "evictions", [stats] {
+            return static_cast<double>(stats().evictions);
         });
+    };
+    for (std::uint32_t c = 0; c < llc->numCores(); ++c) {
+        addStats("core" + std::to_string(c) + ".llc.",
+                 [llc, c] { return llc->coreStats(c); });
     }
-
-    sampler->addProbe("llc.accesses", [llc] {
-        return static_cast<double>(llc->totalStats().accesses);
-    });
-    sampler->addProbe("llc.misses", [llc] {
-        return static_cast<double>(llc->totalStats().misses);
-    });
-    sampler->addProbe("llc.miss_rate",
-                      [llc] { return llc->totalStats().missRate(); });
-    sampler->addProbe("llc.evictions", [llc] {
-        return static_cast<double>(llc->totalStats().evictions);
-    });
+    addStats("llc.", [llc] { return llc->totalStats(); });
     sampler->addProbe("llc.writebacks", [llc] {
         return static_cast<double>(llc->writebacks());
     });
@@ -118,53 +109,8 @@ System::setupTelemetry(std::uint64_t interval)
             std::count(heat.begin(), heat.end(), std::uint64_t{0}));
     });
 
-    // Policy-specific probes, keyed off the concrete LLC policy.
-    ReplacementPolicy &pol = llc->policy();
-    if (const auto *nu = dynamic_cast<const NUcachePolicy *>(&pol)) {
-        sampler->addProbe("nucache.selected_pcs", [nu] {
-            return static_cast<double>(nu->selectedPcs().size());
-        });
-        sampler->addProbe("nucache.deli_hits", [nu] {
-            return static_cast<double>(nu->deliHits());
-        });
-        sampler->addProbe("nucache.lease_refreshes", [nu] {
-            return static_cast<double>(nu->leaseRefreshes());
-        });
-        sampler->addProbe("nucache.epochs", [nu] {
-            return static_cast<double>(nu->epochsRun());
-        });
-        sampler->addProbe("nucache.selection_churn", [nu] {
-            return static_cast<double>(nu->selectionChurn());
-        });
-        sampler->addProbe("nucache.deli_occupancy", [llc, nu] {
-            if (nu->numDeliWays() == 0)
-                return 0.0;
-            std::uint64_t occupied = 0;
-            for (std::uint32_t s = 0; s < llc->numSets(); ++s) {
-                const SetView view = llc->viewSet(s);
-                const std::uint64_t valid = view.validMask();
-                for (std::uint32_t w = 0; w < view.ways(); ++w) {
-                    if (((valid >> w) & 1) != 0 && nu->inDeliWays(s, w))
-                        ++occupied;
-                }
-            }
-            return static_cast<double>(occupied) /
-                (static_cast<double>(llc->numSets()) * nu->numDeliWays());
-        });
-    }
-    if (const auto *dip = dynamic_cast<const DipPolicy *>(&pol)) {
-        sampler->addProbe("dip.psel", [dip] {
-            return static_cast<double>(dip->pselValue());
-        });
-    }
-    if (const auto *tadip = dynamic_cast<const TadipPolicy *>(&pol)) {
-        for (std::uint32_t c = 0; c < llc->numCores(); ++c) {
-            sampler->addProbe("tadip.psel.core" + std::to_string(c),
-                              [tadip, c] {
-                return static_cast<double>(tadip->pselValue(c));
-            });
-        }
-    }
+    // Then whatever state the LLC's policy publishes about itself.
+    llc->policy().addProbes(*sampler, *llc);
 }
 
 SystemResult
