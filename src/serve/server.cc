@@ -519,14 +519,16 @@ Server::handleLine(std::uint64_t conn_id, Connection &conn,
     // workload profile falls through to the dispatcher.
     if (!stream) {
         std::string payload;
+        bool cached = true;
         const bool hit =
             req.mode == Mode::Estimate
-                ? service.tryEstimate(req, payload)
+                ? service.tryEstimate(req, payload, &cached)
                 : service.tryCached(req, payload);
         if (hit) {
-            trace.cls = req.mode == Mode::Estimate
-                            ? RequestClass::EstimateInline
-                            : RequestClass::CacheHit;
+            // estimate_inline is a model evaluation; a result-cache
+            // read is a cache_hit whichever mode asked for it.
+            trace.cls = cached ? RequestClass::CacheHit
+                               : RequestClass::EstimateInline;
             if (trace.live)
                 trace.executed = Clock::now();
             queueSlotLine(conn_id, conn.nextSeq++,

@@ -255,12 +255,16 @@ SimulationService::estimate(const Request &req, const std::string &key,
 
 bool
 SimulationService::tryEstimate(const Request &req,
-                               std::string &result_payload)
+                               std::string &result_payload,
+                               bool *from_cache)
 {
     if (req.op != Op::RunMix || req.mode != Mode::Estimate)
         return false;
     const std::string key = keyOf(req);
-    if (lookup(key, nullptr, &result_payload))
+    const bool cached = lookup(key, nullptr, &result_payload);
+    if (from_cache != nullptr)
+        *from_cache = cached;
+    if (cached)
         return true;
     const Json result = estimate(req, key, /*build_profiles=*/false, 1);
     if (result.isNull())

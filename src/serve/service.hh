@@ -107,9 +107,12 @@ class SimulationService
      * the response.  Returns false without blocking when a profile
      * is cold; the dispatcher path then builds it.  Safe on the
      * event-loop thread: never builds a System, never takes the
-     * telemetry gate.
+     * telemetry gate.  On an answer, @p from_cache (when given) says
+     * whether it was a result-cache read rather than a model
+     * evaluation.
      */
-    bool tryEstimate(const Request &req, std::string &result_payload);
+    bool tryEstimate(const Request &req, std::string &result_payload,
+                     bool *from_cache = nullptr);
 
     /** @return service counters as a JSON object (for op "stats"). */
     Json statsJson() const;

@@ -684,6 +684,42 @@ TEST_F(ServeTest, InlineEstimatesCountEveryCacheMiss)
         2.0 / 6.0);
 }
 
+TEST_F(ServeTest, InlineEstimateCacheReadsAreClassedCacheHit)
+{
+    // Warm mix2_01's profiles on the dispatcher (uncacheable), so the
+    // estimates below are all answered on the event loop.
+    model::ProfileStore::instance().clear();
+    startServer(baseConfig());
+    TestClient client(server->port());
+    ASSERT_TRUE(client
+                    .call(R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+                          R"("mode":"estimate","no_cache":true}})")
+                    .at("ok")
+                    .asBool());
+
+    // One model evaluation, then two reads of its cached answer.
+    for (int i = 0; i < 3; ++i) {
+        const Json doc = client.call(
+            R"({"op":"run_mix","params":{"mix":"mix2_01",)"
+            R"("mode":"estimate"}})");
+        ASSERT_TRUE(doc.at("ok").asBool()) << doc.str(0);
+        EXPECT_EQ(doc.at("result").at("server").at("cached").asBool(),
+                  i > 0);
+    }
+
+    const Json doc = client.call(R"({"op":"metrics"})");
+    ASSERT_TRUE(doc.at("ok").asBool()) << doc.str(0);
+    const Json &classes = doc.at("result").at("requests");
+    const auto count = [&classes](const char *cls) {
+        const Json *series = classes.find(cls);
+        return series != nullptr ? series->at("count").asUint()
+                                 : std::uint64_t{0};
+    };
+    EXPECT_EQ(count("cache_hit"), 2u);
+    EXPECT_EQ(count("estimate_inline"), 1u);
+    EXPECT_EQ(count("estimate"), 1u);
+}
+
 TEST_F(ServeTest, EstimateAndExactResultsAreCachedSeparately)
 {
     startServer(baseConfig());
