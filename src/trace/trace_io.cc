@@ -275,7 +275,7 @@ VectorTraceSource::reset()
     cursor = 0;
 }
 
-TraceSourcePtr
+std::unique_ptr<VectorTraceSource>
 loadTraceFile(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);

@@ -17,6 +17,7 @@
 #define NUCACHE_TRACE_TRACE_IO_HH
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,7 +105,7 @@ class VectorTraceSource : public TraceSource
 };
 
 /** Load a binary trace file into a VectorTraceSource; fatal() on error. */
-TraceSourcePtr loadTraceFile(const std::string &path);
+std::unique_ptr<VectorTraceSource> loadTraceFile(const std::string &path);
 
 } // namespace nucache
 

@@ -27,6 +27,7 @@
  * not simulate the mix).
  */
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -68,18 +69,11 @@ main(int argc, char **argv)
     std::uint64_t shortest = ~std::uint64_t{0};
     for (const auto &path : args.positional()) {
         auto src = loadTraceFile(path);
-        // VectorTraceSource: size known; use the shortest trace as the
-        // default measurement window.
-        const auto *vec =
-            dynamic_cast<const VectorTraceSource *>(src.get());
-        if (vec != nullptr && vec->size() < shortest)
-            shortest = vec->size();
+        // The shortest trace is the default measurement window.
+        shortest = std::min<std::uint64_t>(shortest, src->size());
         traces.push_back(std::move(src));
     }
-    const std::uint64_t records =
-        args.getInt("records", shortest == ~std::uint64_t{0}
-                                   ? 1'000'000
-                                   : shortest);
+    const std::uint64_t records = args.getInt("records", shortest);
 
     HierarchyConfig hier = defaultHierarchy(cores);
     if (args.has("llc-kib") || args.has("llc-ways")) {
