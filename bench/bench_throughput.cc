@@ -474,6 +474,8 @@ main(int argc, char **argv)
         const HierarchyConfig hier = defaultHierarchy(8);
         const std::uint64_t window = args.has("quick") ? 25'000 : 50'000;
         const std::vector<std::string> policies = {"lru", "nucache"};
+        const std::uint64_t arena_before =
+            TraceArena::instance().recordsGenerated();
         for (const std::string &policy : policies)
             timeMixRun(mix, policy, hier, window, true);
 
@@ -539,13 +541,23 @@ main(int argc, char **argv)
             static_cast<double>(records) / live_secs;
         memo["trial_ratios"] = std::move(ratios);
         memo["log_live_ratio"] = ratio;
+        // The trace arena's layer number: what the runs' traces hold.
+        const std::uint64_t arena_records =
+            TraceArena::instance().recordsGenerated() - arena_before;
+        const std::uint64_t record_bytes = sizeof(PackedRecord);
+        memo["packed_record_bytes"] = record_bytes;
+        memo["arena_records"] = arena_records;
+        memo["arena_bytes"] = arena_records * record_bytes;
         memo["hardware_threads"] = hw_threads;
         std::cout << "\n# " << mix.name
                   << " System runs, private levels from the log vs live, "
                   << window << " records/core\n";
         memo_table.print(std::cout);
         std::cout << "log/live records/sec ratio " << ratio
-                  << " (median of " << kMemoTrials << " trials)\n";
+                  << " (median of " << kMemoTrials << " trials)\n"
+                  << "trace arena " << arena_records << " records x "
+                  << record_bytes << " B = "
+                  << arena_records * record_bytes << " B\n";
     }
 
     // The delinquent-PC selection micro (the other half of the old

@@ -123,15 +123,13 @@ NextUseMonitor::epochDecay()
 
     if (pcTable.size() <= cfg.maxPcs)
         return;
-    // Prune the coldest PCs down to the cap.
-    std::vector<std::pair<std::uint64_t, PC>> order;
-    order.reserve(pcTable.size());
-    for (const auto &kv : pcTable)
-        order.emplace_back(kv.second.misses, kv.first);
-    std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) { return a.first > b.first; });
+    // Prune down to the cap by the selection's own ranking, so a PC
+    // the DeliWays serve is not dropped for its few misses, and ties
+    // go the same way whatever the map's iteration order.
+    const std::vector<PcProfile> order = topDelinquent(
+        static_cast<std::uint32_t>(pcTable.size()));
     for (std::size_t i = cfg.maxPcs; i < order.size(); ++i)
-        pcTable.erase(order[i].second);
+        pcTable.erase(order[i].pc);
 }
 
 std::vector<PcProfile>

@@ -109,13 +109,15 @@ class NextUseMonitor
 
     /**
      * Age all profiles (halve counters) and prune the PC table down to
-     * the configured maximum; call once per selection epoch.
+     * the configured maximum, keeping topDelinquent()'s leaders; call
+     * once per selection epoch.
      */
     void epochDecay();
 
     /**
-     * @return up to @p k PC profiles ordered by descending misses.
-     * Pointers remain valid until the next monitor mutation.
+     * @return up to @p k PC profiles ordered by descending misses plus
+     * matched next-uses, ties by ascending PC.  Pointers remain valid
+     * until the next monitor mutation.
      */
     std::vector<PcProfile> topDelinquent(std::uint32_t k) const;
 

@@ -15,11 +15,31 @@
 namespace nucache
 {
 
-static_assert(sizeof(PackedRecord) == 16, "packed trace record grew");
+static_assert(sizeof(PackedRecord) == 8, "packed trace record grew");
+static_assert(packedAddrBits + packedGapBits + packedPcBits + 1 == 64,
+              "packed trace fields must fill one word");
+
+unsigned
+PcTable::intern(PC pc)
+{
+    for (auto h = static_cast<unsigned>(mix64(pc)) % slotCount;;
+         h = (h + 1) % slotCount) {
+        const unsigned slot = slots[h];
+        if (slot == 0) {
+            if (used == capacity)
+                return capacity;
+            pcs[used] = pc;
+            slots[h] = static_cast<std::uint16_t>(++used);
+            return used - 1;
+        }
+        if (pcs[slot - 1] == pc)
+            return slot - 1;
+    }
+}
 
 PackedRecord
-packRecord(const TraceRecord &rec, const std::string &workload,
-           std::uint64_t index)
+packRecord(const TraceRecord &rec, PcTable &pcs,
+           const std::string &workload, std::uint64_t index)
 {
     if ((rec.addr >> packedAddrBits) != 0) {
         panic("workload '", workload, "' record ", index, ": address ",
@@ -31,10 +51,16 @@ packRecord(const TraceRecord &rec, const std::string &workload,
               rec.nonMemGap, " exceeds the packed trace's ",
               packedGapBits, " bits");
     }
+    const unsigned pc_index = pcs.intern(rec.pc);
+    if (pc_index == PcTable::capacity) {
+        panic("workload '", workload, "' record ", index, ": PC ",
+              rec.pc, " exceeds the packed trace's ", PcTable::capacity,
+              " distinct PCs");
+    }
     PackedRecord p;
-    p.pc = rec.pc;
     p.bits = rec.addr |
         (std::uint64_t{rec.nonMemGap} << packedAddrBits) |
+        (std::uint64_t{pc_index} << (packedAddrBits + packedGapBits)) |
         (std::uint64_t{rec.isWrite} << 63);
     return p;
 }
@@ -111,8 +137,9 @@ TraceBuffer::extend(std::uint64_t have)
         if (!gen->next(rec))
             panic("workload '", wlName, "' ended at record ", i,
                   " of ", len);
-        data[i] = packRecord(rec, wlName, i);
+        data[i] = packRecord(rec, pcs, wlName, i);
     }
+    // Publishes the records and every PC table entry they name.
     count.store(end, std::memory_order_release);
     generated.fetch_add(end - have, std::memory_order_relaxed);
     if (end == len)
@@ -208,6 +235,7 @@ PrivateLog::extend()
     coldScratch.clear();
 
     const PackedRecord *const data = trace.records();
+    const PC *const pcs = trace.pcTable();
     for (std::uint32_t i = 0; i < chunkRecords; ++i) {
         if (tracePos == traceAvail) {
             // Replay wraps the trace, exactly as a core's cursor does.
@@ -218,7 +246,7 @@ PrivateLog::extend()
                 panic("private-level log: workload '", trace.name(),
                       "' is empty");
         }
-        const TraceRecord rec = unpackRecord(data[tracePos++]);
+        const TraceRecord rec = unpackRecord(data[tracePos++], pcs);
         AccessInfo info;
         info.addr = rec.addr;
         info.pc = rec.pc;

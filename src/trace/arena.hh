@@ -12,11 +12,13 @@
  * cursor has asked for.
  *
  * Each (workload, length) key owns a TraceBuffer: one anonymous
- * mapping reserved for the full pass at 16 B per record, which costs
- * no memory until written and never moves.  A buffer grows in fixed
- * chunks under its own mutex and publishes its record count with
- * release semantics; readers of the published prefix never lock.
- * Once the full pass exists, the generator is released.
+ * mapping reserved for the full pass at 8 B per record, which costs
+ * no memory until written and never moves, and a table of the at most
+ * 256 distinct PCs its records name.  A buffer grows in fixed chunks
+ * under its own mutex and publishes its record count with release
+ * semantics; the PCs a chunk adds to the table are written before
+ * that store, so readers of the published prefix never lock.  Once
+ * the full pass exists, the generator is released.
  *
  * Each buffer also owns the private-level logs of its trace (see
  * PrivateLog): what a core's private caches do with every record it
@@ -34,6 +36,7 @@
 #ifndef NUCACHE_TRACE_ARENA_HH
 #define NUCACHE_TRACE_ARENA_HH
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -50,38 +53,76 @@
 namespace nucache
 {
 
-/** A TraceRecord in the arena's 16-byte storage form. */
+/** Address bits a PackedRecord holds. */
+constexpr unsigned packedAddrBits = 40;
+/** nonMemGap bits a PackedRecord holds. */
+constexpr unsigned packedGapBits = 15;
+/** PC-table index bits a PackedRecord holds. */
+constexpr unsigned packedPcBits = 8;
+
+/**
+ * A TraceRecord in the arena's 8-byte storage form: addr in bits
+ * [0, 40), nonMemGap in [40, 55), the index of its PC in the trace's
+ * PcTable in [55, 63), isWrite in 63.
+ */
 struct PackedRecord
 {
-    /** Full PC: attack PCs are 40 bits wide. */
-    PC pc = 0;
-    /** addr in bits [0, 48), nonMemGap in [48, 63), isWrite in 63. */
     std::uint64_t bits = 0;
 };
 
-/** Address bits a PackedRecord holds. */
-constexpr unsigned packedAddrBits = 48;
-/** nonMemGap bits a PackedRecord holds. */
-constexpr unsigned packedGapBits = 15;
+/**
+ * The distinct PCs of one trace in first-use order; a PackedRecord
+ * names its PC by index here.  A program's accesses come from a
+ * handful of static instructions (catalog workloads use at most 32,
+ * attack traces 3), so 256 entries hold any trace.  Entries are only
+ * appended, never changed: a reader may read the entries named by the
+ * records published to it while a writer appends further ones.
+ */
+class PcTable
+{
+  public:
+    static constexpr unsigned capacity = 1u << packedPcBits;
+
+    /**
+     * @return the index of @p pc, appending it on first use, or
+     * capacity when the table is full without it.  O(1): most records
+     * name a different PC than the one before, so a hash of the PC
+     * probes a slot array kept at most half full.
+     */
+    unsigned intern(PC pc);
+
+    /** @return the table; entry i is the PC of index i. */
+    const PC *data() const { return pcs.data(); }
+
+  private:
+    static constexpr unsigned slotCount = 2 * capacity;
+
+    std::array<PC, capacity> pcs{};
+    /** Open-addressed index into pcs: 0 is empty, else index + 1. */
+    std::array<std::uint16_t, slotCount> slots{};
+    unsigned used = 0;
+};
 
 /**
- * @return @p rec packed; panic()s naming @p workload and record
- * @p index when the address or gap does not fit (generators stay far
- * inside both ranges, so that is a generator bug).
+ * @return @p rec packed, its PC interned into @p pcs; panic()s
+ * naming @p workload and record @p index when the address or gap does
+ * not fit or the table is full (generators stay far inside every
+ * range, so that is a generator bug).
  */
-PackedRecord packRecord(const TraceRecord &rec, const std::string &workload,
-                        std::uint64_t index);
+PackedRecord packRecord(const TraceRecord &rec, PcTable &pcs,
+                        const std::string &workload, std::uint64_t index);
 
-/** @return the TraceRecord packed into @p p. */
+/** @return the TraceRecord packed into @p p against PC table @p pcs. */
 inline TraceRecord
-unpackRecord(const PackedRecord &p)
+unpackRecord(const PackedRecord &p, const PC *pcs)
 {
     TraceRecord rec;
-    rec.pc = p.pc;
     rec.addr = p.bits & ((std::uint64_t{1} << packedAddrBits) - 1);
     rec.nonMemGap = static_cast<std::uint32_t>(
         (p.bits >> packedAddrBits) &
         ((std::uint64_t{1} << packedGapBits) - 1));
+    rec.pc = pcs[(p.bits >> (packedAddrBits + packedGapBits)) &
+                 (PcTable::capacity - 1)];
     rec.isWrite = (p.bits >> 63) != 0;
     return rec;
 }
@@ -317,6 +358,13 @@ class TraceBuffer
     }
 
     /**
+     * @return the PCs the records index; stable for the buffer's
+     * life.  Every entry a record below the published count names
+     * was written before that count was published.
+     */
+    const PC *pcTable() const { return pcs.data(); }
+
+    /**
      * Generate whole chunks until at least min(@p n, length())
      * records exist.  Thread-safe; concurrent callers generate once.
      * @return the published record count.
@@ -343,10 +391,11 @@ class TraceBuffer
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> &generated;
 
-    /** Serializes extensions; guards gen. */
+    /** Serializes extensions; guards gen and appends to pcs. */
     std::mutex mtx;
     /** Created by the first extension, released at length(). */
     TraceSourcePtr gen;
+    PcTable pcs;
 
     /**
      * Guards logs.  Separate from mtx: extending a log reads the
@@ -429,7 +478,7 @@ class ArenaCursor : public TraceSource
 {
   public:
     explicit ArenaCursor(TraceArena::Buffer buffer)
-        : buf(std::move(buffer)), data(buf->records())
+        : buf(std::move(buffer)), data(buf->records()), pcs(buf->pcTable())
     {
     }
 
@@ -441,7 +490,7 @@ class ArenaCursor : public TraceSource
             if (pos >= avail)
                 return false;
         }
-        rec = unpackRecord(data[pos++]);
+        rec = unpackRecord(data[pos++], pcs);
         return true;
     }
 
@@ -459,6 +508,7 @@ class ArenaCursor : public TraceSource
   private:
     TraceArena::Buffer buf;
     const PackedRecord *data;
+    const PC *pcs;
     /** Published count last seen; data below it is immutable. */
     std::uint64_t avail = 0;
     std::uint64_t pos = 0;

@@ -218,6 +218,29 @@ TEST(NextUseMonitor, CounterfactualRankingKeepsServedPcs)
     EXPECT_EQ(top[0].pc, 1u);  // 1 miss + 10 uses > 5 misses
 }
 
+TEST(NextUseMonitor, EpochPruneKeepsServedPcsAndLowerTies)
+{
+    NextUseMonitorConfig cfg = fullSampling();
+    cfg.maxPcs = 2;
+    NextUseMonitor m(cfg);
+    // PC 50: no misses, but every retired block's next use is served.
+    for (int i = 0; i < 10; ++i) {
+        m.onRetire(0, 100 + i, 50);
+        m.onUse(0, 100 + i);
+    }
+    // PCs 9, 3 and 7 tie on misses, each above PC 50's count.
+    for (const PC pc : {9u, 3u, 7u}) {
+        for (int i = 0; i < 4; ++i)
+            m.onMiss(0, 1000 * pc + i, pc);
+    }
+    m.epochDecay();
+    ASSERT_EQ(m.trackedPcs(), 2u);
+    const auto top = m.topDelinquent(8);
+    ASSERT_EQ(top.size(), 2u);
+    EXPECT_EQ(top[0].pc, 50u);
+    EXPECT_EQ(top[1].pc, 3u);
+}
+
 TEST(NextUseMonitorDeathTest, RejectsDegenerateConfig)
 {
     NextUseMonitorConfig cfg;

@@ -6,13 +6,17 @@
  * (workload, length) key must be reserved and generated exactly once
  * no matter how many threads — or RunEngine grid jobs — read it
  * concurrently, generation must stop at the deepest record read, and
- * the 16-byte packed form must round-trip every value it admits.
+ * the 8-byte packed form must round-trip every value it admits, and
+ * its per-buffer PC table must stay consistent under concurrent
+ * extension.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attack/attack.hh"
@@ -129,15 +133,16 @@ TEST(TraceArena, EngineGridMaterializesOncePerWorkload)
 }
 
 /**
- * Streams spanning several chunks match the generator across every
- * chunk boundary, and a reset() after stopping mid-chunk replays the
- * identical stream from the start.
+ * Every catalog workload and an attack trace, PCs decoded through the
+ * buffer's table, match the generator across every chunk boundary,
+ * and a reset() after stopping mid-chunk replays the identical stream
+ * from the start.
  */
 TEST(TraceArena, CursorMatchesGeneratorAcrossChunks)
 {
     constexpr std::uint64_t kLen = 2 * TraceBuffer::chunkRecords + 17;
-    const std::vector<std::string> names = {"zipf_hot", "chase_big",
-                                            "attack:storm"};
+    std::vector<std::string> names = workloadNames();
+    names.push_back("attack:storm");
     for (const std::string &name : names) {
         const TraceSourcePtr cur = TraceArena::instance().open(name, kLen);
         TraceRecord rec;
@@ -233,6 +238,66 @@ TEST(TraceArena, ShortRunMixGeneratesFewRecords)
     EXPECT_LT(generated, full / 8) << "of " << full;
 }
 
+/**
+ * Readers decode PCs from a buffer's published prefix while another
+ * thread extends it, adding table entries: every decoded record
+ * matches the generator's (the TSan build checks the publication).
+ */
+TEST(TraceArena, PcTableReadsRaceFreeWithExtension)
+{
+    TraceArena &arena = TraceArena::instance();
+    arena.clear();
+    // A length override no other test uses, so the buffer starts cold.
+    constexpr std::uint64_t kLen = 4 * TraceBuffer::chunkRecords + 3;
+    std::vector<TraceRecord> want;
+    const TraceSourcePtr gen = makeWorkload("phase_shift", kLen);
+    for (TraceRecord rec; gen->next(rec);)
+        want.push_back(rec);
+    ASSERT_EQ(want.size(), kLen);
+    // phase_shift changes phase mid-pass, so a later chunk adds PCs
+    // to the table while the readers decode earlier ones.
+    std::set<PC> first_chunk, all;
+    for (std::uint64_t i = 0; i < kLen; ++i) {
+        if (i < TraceBuffer::chunkRecords)
+            first_chunk.insert(want[i].pc);
+        all.insert(want[i].pc);
+    }
+    ASSERT_LT(first_chunk.size(), all.size());
+
+    const TraceArena::Buffer buf = arena.get("phase_shift", kLen);
+    // The first chunk exists before the readers start, so each of them
+    // only ever reads, never extends.
+    buf->ensure(1);
+    constexpr std::size_t kReaders = 3;
+    std::vector<std::uint64_t> mismatches(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (std::size_t t = 0; t < kReaders; ++t) {
+        readers.emplace_back([&, t] {
+            std::uint64_t seen = 0;
+            while (seen < kLen) {
+                const std::uint64_t avail = buf->ensure(1);
+                for (std::uint64_t i = seen; i < avail; ++i) {
+                    const TraceRecord rec =
+                        unpackRecord(buf->records()[i], buf->pcTable());
+                    if (rec.pc != want[i].pc || rec.addr != want[i].addr ||
+                        rec.nonMemGap != want[i].nonMemGap ||
+                        rec.isWrite != want[i].isWrite)
+                        ++mismatches[t];
+                }
+                seen = avail;
+                std::this_thread::yield();
+            }
+        });
+    }
+    for (std::uint64_t n = TraceBuffer::chunkRecords; n < kLen;
+         n += TraceBuffer::chunkRecords)
+        buf->ensure(n + 1);
+    for (std::thread &t : readers)
+        t.join();
+    for (std::size_t t = 0; t < kReaders; ++t)
+        EXPECT_EQ(mismatches[t], 0u) << "reader " << t;
+}
+
 TEST(PackedRecord, BoundaryValuesRoundTrip)
 {
     TraceRecord widest;
@@ -245,23 +310,60 @@ TEST(PackedRecord, BoundaryValuesRoundTrip)
     read_side.isWrite = false;
     TraceRecord full_pc = zero;
     full_pc.pc = invalidPC;
+    PcTable pcs;
+    std::uint64_t index = 0;
     for (const TraceRecord &rec : {widest, zero, read_side, full_pc}) {
-        const PackedRecord p = packRecord(rec, "boundary", 0);
+        const PackedRecord p = packRecord(rec, pcs, "boundary", index++);
         ASSERT_NO_FATAL_FAILURE(
-            expectSameRecord(unpackRecord(p), rec, "round trip"));
+            expectSameRecord(unpackRecord(p, pcs.data()), rec, "round trip"));
+    }
+
+    // A full table: 256 distinct PCs, each decoded to itself when
+    // packed first and again after the table has filled.
+    std::vector<TraceRecord> distinct(PcTable::capacity, widest);
+    distinct[0].pc = kAttackProbePc;
+    distinct[1].pc = invalidPC;
+    for (std::size_t i = 2; i < distinct.size(); ++i)
+        distinct[i].pc = 0x400000 + 4 * i;
+    PcTable full;
+    std::vector<PackedRecord> packed;
+    for (const TraceRecord &rec : distinct)
+        packed.push_back(packRecord(rec, full, "boundary", index++));
+    for (std::size_t i = distinct.size(); i-- > 0;)
+        packed.push_back(packRecord(distinct[i], full, "boundary", index++));
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+        const std::size_t j = i < distinct.size()
+                                  ? i
+                                  : 2 * distinct.size() - 1 - i;
+        ASSERT_NO_FATAL_FAILURE(
+            expectSameRecord(unpackRecord(packed[i], full.data()),
+                             distinct[j], "pc " + std::to_string(j)));
     }
 }
 
 TEST(PackedRecordDeathTest, OutOfRangeFieldPanicsWithWorkloadName)
 {
+    PcTable pcs;
     TraceRecord far;
     far.addr = std::uint64_t{1} << packedAddrBits;
-    EXPECT_DEATH(packRecord(far, "far_addr_wl", 7),
+    EXPECT_DEATH(packRecord(far, pcs, "far_addr_wl", 7),
                  "far_addr_wl' record 7");
     TraceRecord slow;
     slow.nonMemGap = 1u << packedGapBits;
-    EXPECT_DEATH(packRecord(slow, "long_gap_wl", 9),
+    EXPECT_DEATH(packRecord(slow, pcs, "long_gap_wl", 9),
                  "long_gap_wl' record 9");
+
+    TraceRecord rec;
+    for (unsigned i = 0; i < PcTable::capacity; ++i) {
+        rec.pc = 0x400000 + 4 * i;
+        packRecord(rec, pcs, "many_pcs_wl", i);
+    }
+    // A repeat of a tabled PC still packs; a new one does not fit.
+    rec.pc = 0x400000;
+    packRecord(rec, pcs, "many_pcs_wl", PcTable::capacity);
+    rec.pc = 0x400000 + 4 * PcTable::capacity;
+    EXPECT_DEATH(packRecord(rec, pcs, "many_pcs_wl", 257),
+                 "many_pcs_wl' record 257");
 }
 
 } // anonymous namespace
