@@ -16,7 +16,9 @@ NextUseMonitor::NextUseMonitor(const NextUseMonitorConfig &config)
     if (cfg.maxPcs == 0)
         fatal("NextUseMonitor: maxPcs must be non-zero");
     board.assign(cfg.boardEntries, BoardEntry{});
-    boardIndex.reserve(cfg.boardEntries * 2);
+    boardIndex.reset(cfg.boardEntries);
+    pcTable.reserve(cfg.maxPcs);
+    pcIndex.reset(cfg.maxPcs);
 }
 
 bool
@@ -31,30 +33,43 @@ NextUseMonitor::sampled(std::uint32_t set) const
 NextUseMonitor::PcEntry &
 NextUseMonitor::pcEntry(PC pc)
 {
-    auto it = pcTable.find(pc);
-    if (it != pcTable.end())
-        return it->second;
+    const auto key = [this](std::uint32_t s) { return pcTable[s].pc; };
+    std::size_t cell = pcIndex.find(pc, key);
+    if (pcIndex.live(cell))
+        return pcTable[pcIndex.slot(cell)];
     // Soft cap: allow growth between epochs; epochDecay prunes.
-    it = pcTable.emplace(pc, PcEntry(cfg.histMaxLog2, cfg.histSubBits))
-             .first;
-    return it->second;
+    if (pcTable.size() == pcIndex.capacity()) {
+        reindexPcs(2 * pcTable.size());
+        cell = pcIndex.find(pc, key);
+    }
+    pcIndex.put(cell, static_cast<std::uint32_t>(pcTable.size()));
+    return pcTable.emplace_back(pc, cfg.histMaxLog2, cfg.histSubBits);
+}
+
+void
+NextUseMonitor::reindexPcs(std::size_t keys)
+{
+    const auto key = [this](std::uint32_t s) { return pcTable[s].pc; };
+    pcIndex.reset(keys);
+    for (std::uint32_t s = 0; s < pcTable.size(); ++s)
+        pcIndex.put(pcIndex.find(pcTable[s].pc, key), s);
 }
 
 void
 NextUseMonitor::matchBoard(Addr tag)
 {
-    const auto it = boardIndex.find(tag);
-    if (it == boardIndex.end())
+    const auto key = [this](std::uint32_t s) { return board[s].tag; };
+    const std::size_t cell = boardIndex.find(tag, key);
+    if (!boardIndex.live(cell))
         return;
-    BoardEntry &entry = board[it->second];
+    const BoardEntry &entry = board[boardIndex.slot(cell)];
     // Distance in sampled misses, scaled to whole-cache units; credit
     // the PC that *allocated* the block — that PC's selection would
     // have saved (or did save) this use.
     const std::uint64_t distance = (missClock - entry.stamp) << shift;
     pcEntry(entry.allocPc).nextUse.add(distance);
     ++matched;
-    entry.valid = false;
-    boardIndex.erase(it);
+    boardIndex.erase(cell, key);
 }
 
 void
@@ -90,31 +105,30 @@ NextUseMonitor::onRetire(std::uint32_t set, Addr tag, PC alloc_pc)
     if (!sampled(set))
         return;
     ++pcEntry(alloc_pc).retires;
-    // Claim the ring slot, displacing its previous occupant.
-    BoardEntry &slot = board[boardHead];
-    if (slot.valid)
-        boardIndex.erase(slot.tag);
+    const auto key = [this](std::uint32_t s) { return board[s].tag; };
+    // Claim the ring slot, displacing its previous occupant if the
+    // index still names it.
+    const std::size_t occupant = boardIndex.find(board[boardHead].tag, key);
+    if (boardIndex.live(occupant) && boardIndex.slot(occupant) == boardHead)
+        boardIndex.erase(occupant, key);
     // A re-retirement of a still-boarded tag keeps only the newest.
-    const auto stale = boardIndex.find(tag);
-    if (stale != boardIndex.end()) {
-        board[stale->second].valid = false;
-        boardIndex.erase(stale);
+    std::size_t cell = boardIndex.find(tag, key);
+    if (boardIndex.live(cell)) {
+        boardIndex.erase(cell, key);
+        cell = boardIndex.find(tag, key);
     }
-    slot.tag = tag;
-    slot.allocPc = alloc_pc;
-    slot.stamp = missClock;
-    slot.valid = true;
-    boardIndex[tag] = boardHead;
+    board[boardHead] = BoardEntry{tag, alloc_pc, missClock};
+    boardIndex.put(cell, boardHead);
     boardHead = (boardHead + 1) % cfg.boardEntries;
 }
 
 void
 NextUseMonitor::epochDecay()
 {
-    for (auto &kv : pcTable) {
-        kv.second.misses >>= 1;
-        kv.second.retires >>= 1;
-        kv.second.nextUse.decay();
+    for (PcEntry &e : pcTable) {
+        e.misses >>= 1;
+        e.retires >>= 1;
+        e.nextUse.decay();
     }
     // The profile *counters* age, but the miss clock is monotonic —
     // rescaling stamps would corrupt every distance that spans an
@@ -125,11 +139,24 @@ NextUseMonitor::epochDecay()
         return;
     // Prune down to the cap by the selection's own ranking, so a PC
     // the DeliWays serve is not dropped for its few misses, and ties
-    // go the same way whatever the map's iteration order.
+    // go the same way whatever the table's order.
     const std::vector<PcProfile> order = topDelinquent(
         static_cast<std::uint32_t>(pcTable.size()));
-    for (std::size_t i = cfg.maxPcs; i < order.size(); ++i)
-        pcTable.erase(order[i].pc);
+    std::vector<bool> keep(pcTable.size(), false);
+    const auto key = [this](std::uint32_t s) { return pcTable[s].pc; };
+    for (std::size_t i = 0; i < cfg.maxPcs; ++i)
+        keep[pcIndex.slot(pcIndex.find(order[i].pc, key))] = true;
+    std::size_t kept = 0;
+    for (std::size_t s = 0; s < pcTable.size(); ++s) {
+        if (!keep[s])
+            continue;
+        if (kept != s)
+            pcTable[kept] = std::move(pcTable[s]);
+        ++kept;
+    }
+    pcTable.erase(pcTable.begin() + static_cast<std::ptrdiff_t>(kept),
+                  pcTable.end());
+    reindexPcs(cfg.maxPcs);
 }
 
 std::vector<PcProfile>
@@ -137,14 +164,8 @@ NextUseMonitor::topDelinquent(std::uint32_t k) const
 {
     std::vector<PcProfile> out;
     out.reserve(pcTable.size());
-    for (const auto &kv : pcTable) {
-        PcProfile p;
-        p.pc = kv.first;
-        p.misses = kv.second.misses;
-        p.retires = kv.second.retires;
-        p.nextUse = &kv.second.nextUse;
-        out.push_back(p);
-    }
+    for (const PcEntry &e : pcTable)
+        out.push_back(PcProfile{e.pc, e.misses, e.retires, &e.nextUse});
     // Rank by *counterfactual* delinquency: observed misses plus
     // observed next-uses.  A next-use served by the DeliWays is a miss
     // the selection removed; ranking by raw misses alone would expel a

@@ -19,17 +19,23 @@
  * provide the delinquency ranking; per-PC retirement counters provide
  * the DeliWays insertion-rate estimate used for the retention-window
  * cost model.
+ *
+ * Both tables are flat, as in the paper's hardware: the board is a
+ * ring of `boardEntries` slots and the PC table one contiguous entry
+ * array sized for `maxPcs`, each found through an open-addressed
+ * SlotIndex (slot_index.hh).  A board slot is live exactly while the
+ * index names it.
  */
 
 #ifndef NUCACHE_CORE_NEXT_USE_MONITOR_HH
 #define NUCACHE_CORE_NEXT_USE_MONITOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/histogram.hh"
 #include "common/types.hh"
+#include "core/slot_index.hh"
 
 namespace nucache
 {
@@ -140,17 +146,17 @@ class NextUseMonitor
         PC allocPc = invalidPC;
         /** missClock at retirement time. */
         std::uint64_t stamp = 0;
-        bool valid = false;
     };
 
     struct PcEntry
     {
+        PC pc;
         std::uint64_t misses = 0;
         std::uint64_t retires = 0;
         LogHistogram nextUse;
 
-        PcEntry(unsigned max_log2, unsigned sub_bits)
-            : nextUse(max_log2, sub_bits)
+        PcEntry(PC p, unsigned max_log2, unsigned sub_bits)
+            : pc(p), nextUse(max_log2, sub_bits)
         {
         }
     };
@@ -158,18 +164,23 @@ class NextUseMonitor
     /** Find or create the table entry for @p pc (bounded table). */
     PcEntry &pcEntry(PC pc);
 
+    /** Index every PC table entry afresh, for at least @p keys. */
+    void reindexPcs(std::size_t keys);
+
     /** Match @p tag against the board and record the distance. */
     void matchBoard(Addr tag);
 
     NextUseMonitorConfig cfg;
     unsigned shift;
 
-    /** FIFO victim board: ring buffer + tag index. */
+    /** FIFO victim board: a ring of slots and its tag index. */
     std::vector<BoardEntry> board;
-    std::unordered_map<Addr, std::uint32_t> boardIndex;
+    SlotIndex boardIndex;
     std::uint32_t boardHead = 0;
 
-    std::unordered_map<PC, PcEntry> pcTable;
+    /** Profiled PCs in no particular order, and their PC index. */
+    std::vector<PcEntry> pcTable;
+    SlotIndex pcIndex;
     /** Monotonic sampled-miss clock (distances; never decays). */
     std::uint64_t missClock = 0;
     /** Epoch-aged sampled-miss counter (rate denominators). */

@@ -79,6 +79,32 @@ TEST(NUcache, InvariantsHoldUnderRandomTraffic)
     EXPECT_EQ(s.hits + s.misses, s.accesses);
 }
 
+TEST(NUcache, OrderRowsSurviveInvalidationsBetweenFills)
+{
+    // Cache::invalidate drops lines behind the policy's back, leaving
+    // stale region bits and row places; the checker audits the order
+    // row after every access.
+    for (const bool adaptive : {false, true}) {
+        NUcacheConfig ncfg = testConfig(5);
+        ncfg.adaptiveDeli = adaptive;
+        CacheConfig cfg{"n", 4ull * 8 * 64, 8, 64};  // 4 sets x 8 ways
+        Cache c(cfg, std::make_unique<NUcachePolicy>(ncfg));
+        CacheChecker checker(c, CacheChecker::Mode::Collect);
+        Rng rng(adaptive ? 77 : 76);
+        std::uint64_t dropped = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const Addr addr = rng.below(96) * 64;
+            c.access(read(addr, 0x400000 + (addr / 64 % 6) * 4));
+            if (i % 3 == 0)
+                dropped += c.invalidate(rng.below(96) * 64) ? 1 : 0;
+        }
+        EXPECT_GT(dropped, 1000u) << "adaptive=" << adaptive;
+        EXPECT_EQ(checker.checksRun(), 20000u);
+        EXPECT_EQ(checker.violationCount(), 0u)
+            << checker.violations().front().what;
+    }
+}
+
 /** Invariants hold for every DeliWays count. */
 class NUcacheDeliSweep : public ::testing::TestWithParam<std::uint32_t>
 {
@@ -271,7 +297,7 @@ TEST(NUcache, EpochsRunAndSelect)
     EXPECT_GT(nu->epochsRun(), 5u);
     EXPECT_FALSE(nu->selectedPcs().empty());
     // The stream PC must not be admitted.
-    EXPECT_EQ(nu->selectedPcs().count(0x500000), 0u);
+    EXPECT_FALSE(std::ranges::binary_search(nu->selectedPcs(), 0x500000u));
     EXPECT_GT(nu->deliHits(), 0u);
 }
 
@@ -346,7 +372,7 @@ TEST(NUcache, DeliHitWithIneligibleMainLruRefreshesLease)
         c.access(read((2 * b + 1) * 64, PC_SEL));
     nu->runSelection();
     ASSERT_EQ(nu->selectedPcs().size(), 1u);
-    ASSERT_TRUE(nu->selectedPcs().count(PC_SEL));
+    ASSERT_EQ(nu->selectedPcs().front(), PC_SEL);
 
     // Set 0: fill A under the selected PC, then seven non-selected
     // fills.  A is demoted on the 4th fill (ways fill lowest-first, so
@@ -474,7 +500,7 @@ TEST_F(NUcacheStaleBits, DroppedPcIsReclaimedFirstInAnUntouchedSet)
     // untouched with bits cached under the old selection.
     delinquentThenSelect(PC_B, 100);
     ASSERT_EQ(nu->selectedPcs().size(), 1u);
-    ASSERT_TRUE(nu->selectedPcs().count(PC_B));
+    ASSERT_TRUE(std::ranges::binary_search(nu->selectedPcs(), PC_B));
 
     // A's FIFO-oldest line goes, not B's older lines nor the Main-LRU.
     cache->access(read(block(0, 8), PC_C));
@@ -493,7 +519,7 @@ TEST_F(NUcacheStaleBits, AddedPcMainLruSacrificesOldestDeli)
 
     delinquentThenSelect(PC_B, 100);
     ASSERT_EQ(nu->selectedPcs().size(), 2u);
-    ASSERT_TRUE(nu->selectedPcs().count(PC_B));
+    ASSERT_TRUE(std::ranges::binary_search(nu->selectedPcs(), PC_B));
 
     // The Main-LRU's PC is now selected: it is retained (demoted) and
     // the oldest DeliWays line is sacrificed instead.
@@ -559,11 +585,9 @@ twoCoreOutcome(const std::string &spec)
             stream += 64;
         }
     }
-    std::vector<PC> pcs(nu->selectedPcs().begin(), nu->selectedPcs().end());
-    std::sort(pcs.begin(), pcs.end());
     std::string out = std::to_string(c.totalStats().hits) + "/" +
                       std::to_string(nu->deliHits()) + "/";
-    for (const PC pc : pcs)
+    for (const PC pc : nu->selectedPcs())
         out += std::to_string(pc) + ",";
     return out;
 }
