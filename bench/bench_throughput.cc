@@ -383,12 +383,38 @@ median(std::vector<double> v)
     return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
+constexpr const char *kUsage =
+    "usage: bench_throughput [--records=N] [--quick] [--jobs=N]\n"
+    "                        [--json=FILE] [--check] [--telemetry[=N]]\n"
+    "                        [--trace-out=FILE] [--serve-metrics-json=FILE]\n"
+    "Times every policy x LLC geometry, the LRU lookup path, the\n"
+    "private-level log, PC selection and the server loopback, and writes\n"
+    "the report to --json (default: BENCH_throughput.json in the current\n"
+    "directory).\n";
+
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     const CliArgs args = bench::benchArgs(argc, argv);
+    if (args.has("help")) {
+        std::cout << kUsage;
+        return 0;
+    }
+    // Refuse a mistyped flag before any cell runs: the default report
+    // path is the committed reference file.
+    const std::vector<std::string> unknown =
+        args.unknownKeys({"records", "quick", "jobs", "json", "check",
+                          "telemetry", "trace-out", "serve-metrics-json"});
+    if (!unknown.empty() || !args.positional().empty()) {
+        std::cerr << "bench_throughput: unknown argument '"
+                  << (unknown.empty() ? args.positional().front()
+                                      : "--" + unknown.front())
+                  << "'\n"
+                  << kUsage;
+        return 2;
+    }
     BenchOptions opt = parseOptions(args, 4'000'000);
     // Unlike the figure benches this one defaults its JSON mirror on:
     // BENCH_throughput.json at the cwd (the repo root in normal use)

@@ -57,6 +57,18 @@ CliArgs::getInt(const std::string &key, std::uint64_t def) const
     return v;
 }
 
+std::vector<std::string>
+CliArgs::unknownKeys(std::initializer_list<const char *> known) const
+{
+    const std::set<std::string> ok(known.begin(), known.end());
+    std::vector<std::string> out;
+    for (const auto &[key, value] : values) {
+        if (ok.count(key) == 0)
+            out.push_back(key);
+    }
+    return out;
+}
+
 double
 CliArgs::getDouble(const std::string &key, double def) const
 {

@@ -43,6 +43,14 @@ class CliArgs
     /** @return double value of --key, or @p def if absent. */
     double getDouble(const std::string &key, double def) const;
 
+    /**
+     * @return the flags given that are not in @p known, in ascending
+     * order: a binary that reads only @p known can refuse the rest
+     * before it does any work.
+     */
+    std::vector<std::string>
+    unknownKeys(std::initializer_list<const char *> known) const;
+
     /** @return positional (non-flag) arguments. */
     const std::vector<std::string> &positional() const { return pos; }
 

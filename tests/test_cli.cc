@@ -58,6 +58,16 @@ TEST(CliArgs, PositionalArgumentsKeptInOrder)
     EXPECT_EQ(a.positional()[1], "two");
 }
 
+TEST(CliArgs, UnknownKeysListsFlagsOutsideTheKnownSet)
+{
+    const auto a =
+        parse({"--records=5", "--help", "--jsn", "out.json", "--quick"});
+    EXPECT_EQ(a.unknownKeys({"records", "quick", "json"}),
+              (std::vector<std::string>{"help", "jsn"}));
+    EXPECT_TRUE(a.unknownKeys({"records", "quick", "help", "jsn"}).empty());
+    EXPECT_TRUE(parse({}).unknownKeys({}).empty());
+}
+
 TEST(CliArgs, DoubleParsing)
 {
     const auto a = parse({"--frac=0.75"});
