@@ -6,9 +6,9 @@
  *
  * Accounting (per the design in src/core):
  *  - Tag-array extensions: per LLC line, a region bit, a compressed
- *    allocating-PC index (log2(PC table size)), and the FIFO ordering
- *    stamp (hardware would use a per-set position counter of
- *    log2(ways) bits rather than our simulation's global sequence).
+ *    allocating-PC index (log2(PC table size)), and a FIFO / recency
+ *    position of log2(ways) bits (the simulator's per-set order row
+ *    holds the same ordering in one byte per way).
  *  - Next-Use monitor (per core): victim board entries (partial tag +
  *    PC index + distance stamp), PC table (PC tag + miss/retire
  *    counters), histograms (saturating counters).

@@ -1,12 +1,18 @@
 /**
  * @file
  * Tests for the Next-Use monitor: retire/use matching, distance
- * accounting, lease counting, aging and pruning.
+ * accounting, lease counting, aging and pruning; and for the
+ * open-addressed SlotIndex its tables use.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "common/rng.hh"
 #include "core/next_use_monitor.hh"
+#include "core/slot_index.hh"
 
 namespace nucache
 {
@@ -239,6 +245,67 @@ TEST(NextUseMonitor, EpochPruneKeepsServedPcsAndLowerTies)
     ASSERT_EQ(top.size(), 2u);
     EXPECT_EQ(top[0].pc, 50u);
     EXPECT_EQ(top[1].pc, 3u);
+}
+
+TEST(SlotIndex, MatchesAMapUnderChurn)
+{
+    // 40 keys churn through 64 cells at up to 24 live: collisions
+    // build probe runs, and erasing inside one shifts later members.
+    constexpr std::uint32_t kSlots = 24;
+    std::vector<std::uint64_t> keys(kSlots, 0);
+    std::vector<bool> used(kSlots, false);
+    std::map<std::uint64_t, std::uint32_t> model;
+    SlotIndex index;
+    index.reset(kSlots);
+    const auto key_of = [&](std::uint32_t s) { return keys[s]; };
+    Rng rng(31);
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t key = rng.below(40);
+        const std::size_t cell = index.find(key, key_of);
+        const auto it = model.find(key);
+        ASSERT_EQ(index.live(cell), it != model.end()) << "key " << key;
+        if (it != model.end()) {
+            ASSERT_EQ(index.slot(cell), it->second);
+            if (rng.chance(0.5)) {
+                index.erase(cell, key_of);
+                used[it->second] = false;
+                model.erase(it);
+            }
+        } else if (model.size() < kSlots) {
+            std::uint32_t s = 0;
+            while (used[s])
+                ++s;
+            used[s] = true;
+            keys[s] = key;
+            index.put(cell, s);
+            model[key] = s;
+        }
+    }
+    // Every surviving key is still found at its slot.
+    for (const auto &[key, s] : model) {
+        const std::size_t cell = index.find(key, key_of);
+        ASSERT_TRUE(index.live(cell));
+        EXPECT_EQ(index.slot(cell), s);
+    }
+    EXPECT_EQ(index.capacity(), 32u);
+}
+
+TEST(NextUseMonitor, ClaimingADeadSlotKeepsItsTagsNewerEntry)
+{
+    NextUseMonitorConfig cfg = fullSampling();
+    cfg.boardEntries = 4;
+    NextUseMonitor m(cfg);
+    // Ring slots 0..3 take tags 1..4; tag 5 displaces 1 from slot 0.
+    for (Addr t = 1; t <= 5; ++t)
+        m.onRetire(0, t, 1);
+    // Re-retiring 3 claims slot 1 (displacing 2) and leaves slot 2
+    // dead, still holding tag 3.  Tag 6 then claims slot 2: the
+    // index names slot 1 for tag 3, so that entry must survive.
+    m.onRetire(0, 3, 1);
+    m.onRetire(0, 6, 1);
+    for (Addr t = 1; t <= 6; ++t)
+        m.onUse(0, t);
+    EXPECT_EQ(m.matchedSamples(), 4u);  // 3, 4, 5 and 6
 }
 
 TEST(NextUseMonitorDeathTest, RejectsDegenerateConfig)
