@@ -397,6 +397,20 @@ runPolicyGrid(RunEngine &engine, const HierarchyConfig &hier,
               JsonReport *report = nullptr,
               const std::string &label = "grid")
 {
+    // Prime every run-alone IPC as pool tasks first, so no grid cell
+    // sits blocked on a baseline another cell is still simulating.
+    std::vector<std::string> workloads;
+    for (const auto &mix : mixes) {
+        for (const auto &w : mix.workloads) {
+            if (std::find(workloads.begin(), workloads.end(), w) ==
+                workloads.end())
+                workloads.push_back(w);
+        }
+    }
+    engine.parallelFor(workloads.size(), [&](std::size_t i) {
+        engine.aloneIpc(workloads[i], hier);
+    });
+
     Progress progress;
     const GridRun run = engine.runGrid(
         hier, mixes, policies, "lru",

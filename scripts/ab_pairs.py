@@ -12,13 +12,19 @@ first.  Each side builds into its own CARGO_TARGET_DIR.  For every
 metric BENCHMARK.json declares, it prints the parent and candidate
 medians, the median of the per-pair relative changes (positive is
 worse), the candidate's wins over the pairs, the parent's
-interquartile range relative to its median, and whether the
-candidate's median is worse than the parent's by more than the
-metric's bound.  Runs that report incorrect results or failed
-operations are flagged.
+interquartile range relative to its median (its spread), a verdict,
+and whether the candidate's median is worse than the parent's by more
+than the metric's bound.  The verdict is ``unresolved`` when the
+median change is smaller than the spread, else ``better`` or
+``worse``.  Runs that report incorrect results or failed operations
+are flagged.
 
     scripts/ab_pairs.py --parent HEAD~1 --candidate HEAD \\
         --workloads fig_grid,serve_inline --pairs 10 --seconds 40
+
+``--aa`` runs the parent against itself (one export, one build): its
+table shows the spread each metric has with no change at all, the
+floor below which an A/B median change cannot be told from noise.
 
 ``--candidate WORKTREE`` (the default) measures the checkout's
 tracked files as they are, committed or not (``git stash create``).
@@ -111,9 +117,9 @@ def summarize(workload, pairs, metrics):
         if bad:
             ok = False
             print("%s: incorrect or failed runs at seeds %s" % (side, bad))
-    print("%-14s %12s %12s %9s %6s %10s %7s  %s"
+    print("%-14s %12s %12s %9s %6s %10s %10s %7s  %s"
           % ("metric", "parent", "candidate", "median_d", "wins",
-             "parent_iqr", "bound", "check"))
+             "parent_iqr", "verdict", "bound", "check"))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         par, cand, deltas, wins = [], [], [], 0
@@ -136,15 +142,19 @@ def summarize(workload, pairs, metrics):
         cmed = statistics.median(cand)
         worse = (cmed - pmed) / pmed if pmed else 0.0
         worse = worse if lower else -worse
+        spread = (q3 - q1) / pmed if pmed else 0.0
+        median_d = statistics.median(deltas)
+        verdict = ("unresolved" if abs(median_d) < spread
+                   else "worse" if median_d > 0 else "better")
         bound = m.get("bound")
         check = "-"
         if bound is not None:
             check = "ok" if worse <= bound else "WORSE"
             ok = ok and worse <= bound
-        print("%-14s %12.4g %12.4g %+8.3f %3d/%-2d %10.3f %7s  %s"
-              % (name, pmed, cmed, statistics.median(deltas), wins,
-                 len(par), (q3 - q1) / pmed if pmed else 0.0,
-                 "-" if bound is None else "%.2f" % bound, check))
+        print("%-14s %12.4g %12.4g %+8.3f %3d/%-2d %10.3f %10s %7s  %s"
+              % (name, pmed, cmed, median_d, wins, len(par), spread,
+                 verdict, "-" if bound is None else "%.2f" % bound,
+                 check))
     return ok
 
 
@@ -162,6 +172,8 @@ def main():
     parser.add_argument("--seed-base", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--scratch", default="/tmp/ab_pairs")
+    parser.add_argument("--aa", action="store_true",
+                        help="run the parent against itself")
     args = parser.parse_args()
 
     bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
@@ -173,6 +185,10 @@ def main():
     sides = {}
     for side, rev in (("parent", args.parent),
                       ("candidate", args.candidate)):
+        if args.aa and side == "candidate":
+            sides[side] = sides["parent"]
+            print("# candidate = the parent (A/A)", flush=True)
+            continue
         commit = resolve(rev)
         tree = os.path.join(args.scratch, side)
         export(commit, tree)

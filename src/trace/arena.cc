@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <new>
@@ -10,14 +11,24 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
+#include "trace/generator.hh"
 #include "trace/workloads.hh"
 
 namespace nucache
 {
 
-static_assert(sizeof(PackedRecord) == 8, "packed trace record grew");
-static_assert(packedAddrBits + packedGapBits + packedPcBits + 1 == 64,
-              "packed trace fields must fill one word");
+static_assert(sizeof(PackedRecord) == 6, "packed trace record grew");
+static_assert(packedBlockBits + packedGapBits + packedPcBits + 1 ==
+                  8 * sizeof(PackedRecord),
+              "packed trace fields must fill the record");
+static_assert(std::endian::native == std::endian::little,
+              "unpackRecord reads the record as a little-endian word");
+static_assert(genBlockSize == std::uint64_t{1} << packedBlockShift,
+              "packed records address the generators' blocks");
+static_assert(genMaxGap < 1u << packedGapBits,
+              "packed records hold every generated gap");
+static_assert(traceChunkRecords * sizeof(PackedRecord) % 4096 == 0,
+              "trace chunks start on page boundaries");
 
 unsigned
 PcTable::intern(PC pc)
@@ -41,9 +52,15 @@ PackedRecord
 packRecord(const TraceRecord &rec, PcTable &pcs,
            const std::string &workload, std::uint64_t index)
 {
-    if ((rec.addr >> packedAddrBits) != 0) {
+    if ((rec.addr & ((Addr{1} << packedBlockShift) - 1)) != 0) {
         panic("workload '", workload, "' record ", index, ": address ",
-              rec.addr, " exceeds the packed trace's ", packedAddrBits,
+              rec.addr, " is not aligned to the packed trace's ",
+              Addr{1} << packedBlockShift, " B blocks");
+    }
+    const Addr block = rec.addr >> packedBlockShift;
+    if ((block >> packedBlockBits) != 0) {
+        panic("workload '", workload, "' record ", index, ": block ",
+              block, " exceeds the packed trace's ", packedBlockBits,
               " bits");
     }
     if ((rec.nonMemGap >> packedGapBits) != 0) {
@@ -57,11 +74,13 @@ packRecord(const TraceRecord &rec, PcTable &pcs,
               rec.pc, " exceeds the packed trace's ", PcTable::capacity,
               " distinct PCs");
     }
+    const std::uint64_t bits = block |
+        (std::uint64_t{rec.nonMemGap} << packedBlockBits) |
+        (std::uint64_t{pc_index} << (packedBlockBits + packedGapBits)) |
+        (std::uint64_t{rec.isWrite}
+         << (packedBlockBits + packedGapBits + packedPcBits));
     PackedRecord p;
-    p.bits = rec.addr |
-        (std::uint64_t{rec.nonMemGap} << packedAddrBits) |
-        (std::uint64_t{pc_index} << (packedAddrBits + packedGapBits)) |
-        (std::uint64_t{rec.isWrite} << 63);
+    std::memcpy(p.bytes.data(), &bits, p.bytes.size());
     return p;
 }
 

@@ -12,13 +12,14 @@
  * cursor has asked for.
  *
  * Each (workload, length) key owns a TraceBuffer: one anonymous
- * mapping reserved for the full pass at 8 B per record, which costs
+ * mapping reserved for the full pass at 6 B per record, which costs
  * no memory until written and never moves, and a table of the at most
  * 256 distinct PCs its records name.  A buffer grows in fixed chunks
- * under its own mutex and publishes its record count with release
- * semantics; the PCs a chunk adds to the table are written before
- * that store, so readers of the published prefix never lock.  Once
- * the full pass exists, the generator is released.
+ * of 4 Ki records (24 KiB, six pages) under its own mutex and
+ * publishes its record count with release semantics; the PCs a chunk
+ * adds to the table are written before that store, so readers of the
+ * published prefix never lock.  Once the full pass exists, the
+ * generator is released.
  *
  * Each buffer also owns the private-level logs of its trace (see
  * PrivateLog): what a core's private caches do with every record it
@@ -40,6 +41,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -53,21 +55,28 @@
 namespace nucache
 {
 
-/** Address bits a PackedRecord holds. */
-constexpr unsigned packedAddrBits = 40;
+/** Records a TraceBuffer generates, or a PrivateLog simulates, at once. */
+constexpr std::uint32_t traceChunkRecords = 4096;
+
+/** log2 of the block a PackedRecord addresses (addresses are aligned). */
+constexpr unsigned packedBlockShift = 6;
+/** Block-number bits a PackedRecord holds. */
+constexpr unsigned packedBlockBits = 29;
 /** nonMemGap bits a PackedRecord holds. */
-constexpr unsigned packedGapBits = 15;
+constexpr unsigned packedGapBits = 10;
 /** PC-table index bits a PackedRecord holds. */
 constexpr unsigned packedPcBits = 8;
 
 /**
- * A TraceRecord in the arena's 8-byte storage form: addr in bits
- * [0, 40), nonMemGap in [40, 55), the index of its PC in the trace's
- * PcTable in [55, 63), isWrite in 63.
+ * A TraceRecord in the arena's 6-byte storage form, a little-endian
+ * 48-bit word: the block number addr >> packedBlockShift in bits
+ * [0, 29), nonMemGap in [29, 39), the index of its PC in the trace's
+ * PcTable in [39, 47), isWrite in 47.  Byte-aligned, so a pass is a
+ * dense array and a 4 Ki-record chunk spans exactly six pages.
  */
 struct PackedRecord
 {
-    std::uint64_t bits = 0;
+    std::array<std::uint8_t, 6> bytes{};
 };
 
 /**
@@ -105,9 +114,10 @@ class PcTable
 
 /**
  * @return @p rec packed, its PC interned into @p pcs; panic()s
- * naming @p workload and record @p index when the address or gap does
- * not fit or the table is full (generators stay far inside every
- * range, so that is a generator bug).
+ * naming @p workload and record @p index when the address is not
+ * block-aligned, its block number or the gap does not fit, or the
+ * table is full (generators stay inside every range, so that is a
+ * generator bug).
  */
 PackedRecord packRecord(const TraceRecord &rec, PcTable &pcs,
                         const std::string &workload, std::uint64_t index);
@@ -116,14 +126,23 @@ PackedRecord packRecord(const TraceRecord &rec, PcTable &pcs,
 inline TraceRecord
 unpackRecord(const PackedRecord &p, const PC *pcs)
 {
+    // Two loads straight into registers: a 6-byte copy into a word
+    // goes through the stack, whose 8-byte reload cannot be forwarded
+    // from the two narrower stores and stalls every record.
+    std::uint32_t low = 0;
+    std::uint16_t high = 0;
+    std::memcpy(&low, p.bytes.data(), sizeof low);
+    std::memcpy(&high, p.bytes.data() + sizeof low, sizeof high);
+    const std::uint64_t bits = low | std::uint64_t{high} << 32;
     TraceRecord rec;
-    rec.addr = p.bits & ((std::uint64_t{1} << packedAddrBits) - 1);
+    rec.addr = (bits & ((std::uint64_t{1} << packedBlockBits) - 1))
+               << packedBlockShift;
     rec.nonMemGap = static_cast<std::uint32_t>(
-        (p.bits >> packedAddrBits) &
-        ((std::uint64_t{1} << packedGapBits) - 1));
-    rec.pc = pcs[(p.bits >> (packedAddrBits + packedGapBits)) &
+        (bits >> packedBlockBits) & ((1u << packedGapBits) - 1));
+    rec.pc = pcs[(bits >> (packedBlockBits + packedGapBits)) &
                  (PcTable::capacity - 1)];
-    rec.isWrite = (p.bits >> 63) != 0;
+    rec.isWrite =
+        (bits >> (packedBlockBits + packedGapBits + packedPcBits)) != 0;
     return rec;
 }
 
@@ -174,7 +193,7 @@ class PrivateLog
 {
   public:
     /** Records simulated per extension. */
-    static constexpr std::uint32_t chunkRecords = 4096;
+    static constexpr std::uint32_t chunkRecords = traceChunkRecords;
 
     /** One published run of outcomes; its arrays follow it. */
     struct Chunk
@@ -331,7 +350,7 @@ class TraceBuffer
 {
   public:
     /** Records generated per extension. */
-    static constexpr std::uint64_t chunkRecords = std::uint64_t{1} << 16;
+    static constexpr std::uint64_t chunkRecords = traceChunkRecords;
 
     /**
      * @param length the pass length workloadSpec() reports for

@@ -63,8 +63,7 @@ SyntheticWorkload::rebuild()
     for (std::size_t i = 0; i < spec.patterns.size(); ++i) {
         const auto &p = spec.patterns[i];
         PatternState st;
-        // Disjoint 256 MiB region per pattern.
-        st.regionBase = static_cast<std::uint64_t>(i + 1) << 28;
+        st.regionBase = genRegionBase(i);
         st.pcBase = pc_cursor;
         pc_cursor += p.numPcs * 4;  // 4-byte instruction slots
         if (p.kind == PatternSpec::Kind::Chase) {
@@ -140,7 +139,7 @@ SyntheticWorkload::emitFrom(std::size_t idx, TraceRecord &rec)
     bool echo_touch = false;
     switch (p.kind) {
       case PatternSpec::Kind::Stream:
-        block = (st.cursor * p.strideBlocks) % (std::uint64_t{1} << 21);
+        block = (st.cursor * p.strideBlocks) % genStreamWrapBlocks;
         st.cursor++;
         break;
       case PatternSpec::Kind::Loop:
@@ -204,7 +203,7 @@ SyntheticWorkload::emitFrom(std::size_t idx, TraceRecord &rec)
     }
     const double gap_p = 1.0 / (1.0 + p.gapMean);
     rec.nonMemGap = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(rng.geometric(gap_p), 1000));
+        std::min<std::uint64_t>(rng.geometric(gap_p), genMaxGap));
 }
 
 bool

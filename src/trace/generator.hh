@@ -37,6 +37,7 @@
 #ifndef NUCACHE_TRACE_GENERATOR_HH
 #define NUCACHE_TRACE_GENERATOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,13 +51,32 @@ namespace nucache
 /** Cache block size assumed by the generators (bytes). */
 constexpr std::uint64_t genBlockSize = 64;
 
+/** Blocks a Stream pattern walks before it wraps. */
+constexpr std::uint64_t genStreamWrapBlocks = std::uint64_t{1} << 21;
+
+/** Largest nonMemGap a generated record carries. */
+constexpr std::uint32_t genMaxGap = 1000;
+
+/**
+ * @return the first address of pattern @p index's region: each
+ * pattern of a workload walks its own disjoint 256 MiB region.
+ */
+constexpr std::uint64_t
+genRegionBase(std::size_t index)
+{
+    return static_cast<std::uint64_t>(index + 1) << 28;
+}
+
 /** One access pattern inside a synthetic workload. */
 struct PatternSpec
 {
     enum class Kind { Stream, Loop, Chase, Zipf, Echo };
 
     Kind kind = Kind::Loop;
-    /** Working-set size in cache blocks (Stream: wrap length). */
+    /**
+     * Working-set size in cache blocks.  Stream ignores it and wraps
+     * at genStreamWrapBlocks.
+     */
     std::uint64_t blocks = 1024;
     /** Number of distinct PCs the pattern issues from. */
     unsigned numPcs = 4;

@@ -978,17 +978,20 @@ TEST(PolicyReference, NucacheMatchesListModel)
 
 TEST(PolicyReference, NucacheMatchesListModelOnCatalog)
 {
-    std::uint64_t evictions = 0;
     std::uint64_t deli_hits = 0;
     for (const std::string &name : workloadNames()) {
         SCOPED_TRACE(name);
         NUcacheConfig cfg;
         cfg.epochMisses = 1000;
+        // Every set monitored: the LLC below has only 8.
+        cfg.monitor.sampleShift = 0;
         auto fast_policy = std::make_unique<NUcachePolicy>(cfg);
         auto ref_policy = std::make_unique<RefNUcache>(cfg);
         const NUcachePolicy &nu = *fast_policy;
         const RefNUcache &lists = *ref_policy;
-        const CacheConfig llc{"llc", 1ull << 20, 16, 64};
+        // Half of tiny_hot's 16 KiB loop, the catalog's smallest
+        // working set, so every workload reaches the victim path.
+        const CacheConfig llc{"llc", 8ull << 10, 16, 64};
         Cache fast(llc, std::move(fast_policy));
         Cache ref(llc, std::move(ref_policy));
         const TraceSourcePtr trace = makeWorkload(name);
@@ -1004,12 +1007,9 @@ TEST(PolicyReference, NucacheMatchesListModelOnCatalog)
             info.isWrite = rec.isWrite;
             return info;
         }, sameNucacheState(fast, nu, lists));
-        evictions += fast.totalStats().evictions;
+        EXPECT_GT(fast.totalStats().evictions, 0u);
         deli_hits += nu.deliHits();
     }
-    // Most workloads fit 20k records in the 16k-line LLC; the rest
-    // must still reach the victim and DeliWays-hit paths.
-    EXPECT_GT(evictions, 0u);
     EXPECT_GT(deli_hits, 0u);
 }
 

@@ -6,9 +6,9 @@
  * (workload, length) key must be reserved and generated exactly once
  * no matter how many threads — or RunEngine grid jobs — read it
  * concurrently, generation must stop at the deepest record read, and
- * the 8-byte packed form must round-trip every value it admits, and
- * its per-buffer PC table must stay consistent under concurrent
- * extension.
+ * the 6-byte packed form must round-trip every value it admits, hold
+ * every address the catalog can generate, and keep its per-buffer PC
+ * table consistent under concurrent extension.
  */
 
 #include <gtest/gtest.h>
@@ -140,7 +140,7 @@ TEST(TraceArena, EngineGridMaterializesOncePerWorkload)
  */
 TEST(TraceArena, CursorMatchesGeneratorAcrossChunks)
 {
-    constexpr std::uint64_t kLen = 2 * TraceBuffer::chunkRecords + 17;
+    constexpr std::uint64_t kLen = 32 * TraceBuffer::chunkRecords + 17;
     std::vector<std::string> names = workloadNames();
     names.push_back("attack:storm");
     for (const std::string &name : names) {
@@ -211,7 +211,7 @@ TEST(TraceArena, ShortReadGeneratesOneChunk)
     for (int i = 0; i < 1000; ++i)
         ASSERT_TRUE(cur->next(rec));
 
-    EXPECT_LE(arena.recordsGenerated() - before,
+    EXPECT_EQ(arena.recordsGenerated() - before,
               TraceBuffer::chunkRecords);
     EXPECT_GT(buf->length(), TraceBuffer::chunkRecords);
 }
@@ -247,8 +247,13 @@ TEST(TraceArena, PcTableReadsRaceFreeWithExtension)
 {
     TraceArena &arena = TraceArena::instance();
     arena.clear();
-    // A length override no other test uses, so the buffer starts cold.
-    constexpr std::uint64_t kLen = 4 * TraceBuffer::chunkRecords + 3;
+    // A length override no other test uses, so the buffer starts
+    // cold, and two chunks past phase_shift's first phase change.
+    const std::uint64_t kLen =
+        (workloadSpec("phase_shift").phasePeriod /
+             TraceBuffer::chunkRecords +
+         2) * TraceBuffer::chunkRecords +
+        3;
     std::vector<TraceRecord> want;
     const TraceSourcePtr gen = makeWorkload("phase_shift", kLen);
     for (TraceRecord rec; gen->next(rec);)
@@ -302,7 +307,8 @@ TEST(PackedRecord, BoundaryValuesRoundTrip)
 {
     TraceRecord widest;
     widest.pc = kAttackProbePc;
-    widest.addr = (std::uint64_t{1} << packedAddrBits) - 1;
+    widest.addr = ((std::uint64_t{1} << packedBlockBits) - 1)
+                  << packedBlockShift;
     widest.nonMemGap = (1u << packedGapBits) - 1;
     widest.isWrite = true;
     TraceRecord zero;
@@ -310,9 +316,18 @@ TEST(PackedRecord, BoundaryValuesRoundTrip)
     read_side.isWrite = false;
     TraceRecord full_pc = zero;
     full_pc.pc = invalidPC;
+    // One field at its maximum beside zeros elsewhere, so a field
+    // that spills into its neighbour shows.
+    TraceRecord block_only = zero;
+    block_only.addr = widest.addr;
+    TraceRecord gap_only = zero;
+    gap_only.nonMemGap = widest.nonMemGap;
+    TraceRecord write_only = zero;
+    write_only.isWrite = true;
     PcTable pcs;
     std::uint64_t index = 0;
-    for (const TraceRecord &rec : {widest, zero, read_side, full_pc}) {
+    for (const TraceRecord &rec : {widest, zero, read_side, full_pc,
+                                   block_only, gap_only, write_only}) {
         const PackedRecord p = packRecord(rec, pcs, "boundary", index++);
         ASSERT_NO_FATAL_FAILURE(
             expectSameRecord(unpackRecord(p, pcs.data()), rec, "round trip"));
@@ -344,14 +359,18 @@ TEST(PackedRecord, BoundaryValuesRoundTrip)
 TEST(PackedRecordDeathTest, OutOfRangeFieldPanicsWithWorkloadName)
 {
     PcTable pcs;
+    TraceRecord odd;
+    odd.addr = (std::uint64_t{1} << packedBlockShift) + 8;
+    EXPECT_DEATH(packRecord(odd, pcs, "odd_addr_wl", 5),
+                 "odd_addr_wl' record 5.*not aligned");
     TraceRecord far;
-    far.addr = std::uint64_t{1} << packedAddrBits;
+    far.addr = std::uint64_t{1} << (packedBlockBits + packedBlockShift);
     EXPECT_DEATH(packRecord(far, pcs, "far_addr_wl", 7),
-                 "far_addr_wl' record 7");
+                 "far_addr_wl' record 7.*block");
     TraceRecord slow;
     slow.nonMemGap = 1u << packedGapBits;
     EXPECT_DEATH(packRecord(slow, pcs, "long_gap_wl", 9),
-                 "long_gap_wl' record 9");
+                 "long_gap_wl' record 9.*gap");
 
     TraceRecord rec;
     for (unsigned i = 0; i < PcTable::capacity; ++i) {
@@ -363,7 +382,29 @@ TEST(PackedRecordDeathTest, OutOfRangeFieldPanicsWithWorkloadName)
     packRecord(rec, pcs, "many_pcs_wl", PcTable::capacity);
     rec.pc = 0x400000 + 4 * PcTable::capacity;
     EXPECT_DEATH(packRecord(rec, pcs, "many_pcs_wl", 257),
-                 "many_pcs_wl' record 257");
+                 "many_pcs_wl' record 257.*distinct PCs");
+}
+
+/**
+ * Every catalog pattern's region ends below the packed block limit,
+ * so no catalog trace can reach packRecord's block panic.  Checked on
+ * the specs, without generating a record.
+ */
+TEST(PackedRecord, CatalogAddressesFitBlockField)
+{
+    for (const std::string &name : workloadNames()) {
+        const WorkloadSpec spec = workloadSpec(name);
+        for (std::size_t i = 0; i < spec.patterns.size(); ++i) {
+            const PatternSpec &p = spec.patterns[i];
+            const std::uint64_t blocks =
+                p.kind == PatternSpec::Kind::Stream ? genStreamWrapBlocks
+                                                    : p.blocks;
+            const std::uint64_t end =
+                genRegionBase(i) / genBlockSize + blocks;
+            EXPECT_LE(end, std::uint64_t{1} << packedBlockBits)
+                << name << " pattern " << i;
+        }
+    }
 }
 
 } // anonymous namespace
